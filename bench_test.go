@@ -352,33 +352,6 @@ func BenchmarkSolverRepresentation(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSolve compares the sequential dense solver against the
-// work-stealing wave executor on the biggest corpus programs. Results are
-// byte-identical at every setting (enforced by the differential tests in
-// internal/core); this measures wall time only. On a single-core host the
-// par8 numbers show the executor's coordination overhead, not a speedup —
-// the ≥1.4× target needs a multi-core machine. Warm-strategy pattern as in
-// BenchmarkSolverRepresentation so the fixpoint dominates.
-func BenchmarkParallelSolve(b *testing.B) {
-	for _, name := range []string{"bc", "compiler", "less"} {
-		res := loadProgram(b, name)
-		for _, cfg := range []struct {
-			label string
-			par   int
-		}{{"seq", 1}, {"par8", 8}} {
-			b.Run(name+"/"+cfg.label, func(b *testing.B) {
-				strat := metrics.NewStrategy("common-initial-seq", res.Layout)
-				opts := core.Options{Parallelism: cfg.par}
-				core.AnalyzeWith(res.IR, strat, opts)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					core.AnalyzeWith(res.IR, strat, opts)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkRelated times the Steensgaard unification baseline against the
 // CIS instance (the related-work speed/precision trade).
 func BenchmarkRelated(b *testing.B) {

@@ -20,18 +20,13 @@
 //	              peak-live column of the -stats tables
 //	-prep         measure the prepass + interner against their ablation on
 //	              large synthetic hub-and-chains programs (honors -repeat,
-//	              -solve-parallel, -prep-stmts)
+//	              -prep-stmts)
 //	-prep-stmts n largest program size for -prep in IR statements
 //	              (default 500000; two smaller sizes are derived)
 //	-abi name     layout for the offsets instance (lp64, ilp32, packed1)
 //	-repeat n     timing repetitions per (program, instance) (default 3)
 //	-parallel n   worker count for the corpus run (default GOMAXPROCS;
 //	              1 forces the sequential path)
-//	-solve-parallel n
-//	              worker count inside each solve (the work-stealing wave
-//	              executor; default 1 = sequential). Facts and Figure 3-6
-//	              numbers are identical at any setting; only wall time and
-//	              the -stats schedule counters change
 //	-program p    restrict to one corpus program
 //	-demand       measure the demand-driven query engine instead of the
 //	              figures: per program, the median single query's cold and
@@ -76,7 +71,6 @@ func run() error {
 	abi := flag.String("abi", "lp64", "ABI for the offsets instance")
 	repeat := flag.Int("repeat", 3, "timing repetitions")
 	parallel := flag.Int("parallel", 0, "corpus worker count (0 = GOMAXPROCS)")
-	solvePar := flag.Int("solve-parallel", 1, "intra-solve worker count (1 = sequential executor)")
 	program := flag.String("program", "", "restrict to one corpus program")
 	demand := flag.Bool("demand", false, "measure demand-driven queries vs exhaustive solves")
 	incrFlag := flag.Bool("incr", false, "measure incremental warm resumes vs cold solves over generated edits")
@@ -146,7 +140,7 @@ func run() error {
 
 	if *prep {
 		sizes := []int{*prepStmts / 25, *prepStmts / 5, *prepStmts}
-		return runPrep(ctx, sizes, *repeat, *solvePar)
+		return runPrep(ctx, sizes, *repeat)
 	}
 	if *incrFlag {
 		return runIncr(ctx, names, *abi, *repeat, *edits)
@@ -172,8 +166,7 @@ func run() error {
 
 	progs, err := metrics.MeasureCorpusContext(ctx, specs, frontend.Options{ABI: theABI},
 		metrics.Options{Repeat: *repeat, Parallelism: *parallel,
-			SolveParallelism: *solvePar,
-			NoCycleElim:      *noCycle, NoPrepass: *noPrep,
+			NoCycleElim: *noCycle, NoPrepass: *noPrep,
 			TrackPeakMem: *peakMem, Limits: gov.Limits()})
 	if err != nil {
 		return err
@@ -181,7 +174,7 @@ func run() error {
 
 	w := os.Stdout
 	if *jsonOut {
-		return export.WriteEvaluationPar(w, *abi, *solvePar, progs)
+		return export.WriteEvaluation(w, *abi, progs)
 	}
 	switch *table {
 	case "fig3":

@@ -52,11 +52,10 @@ type prepRow struct {
 	facts     int
 }
 
-func prepSolve(ctx context.Context, prog *frontend.Result, repeat, solvePar int, noPrepass bool) (prepRow, error) {
+func prepSolve(ctx context.Context, prog *frontend.Result, repeat int, noPrepass bool) (prepRow, error) {
 	opts := core.Options{
 		NoPrepass:    noPrepass,
 		TrackPeakMem: true,
-		Parallelism:  solvePar,
 	}
 	var row prepRow
 	for i := 0; i < repeat; i++ {
@@ -78,7 +77,7 @@ func prepSolve(ctx context.Context, prog *frontend.Result, repeat, solvePar int,
 }
 
 // runPrep prints the prepass-vs-ablation table for each target size.
-func runPrep(ctx context.Context, stmtTargets []int, repeat, solvePar int) error {
+func runPrep(ctx context.Context, stmtTargets []int, repeat int) error {
 	fmt.Println("Offline prepass + hash-consed sets vs ablation (hub-and-chains workload;")
 	fmt.Println("wall = min of repeats, peak = barrier-sampled live heap, facts cross-checked)")
 	fmt.Println()
@@ -92,11 +91,11 @@ func runPrep(ctx context.Context, stmtTargets []int, repeat, solvePar int) error
 			return fmt.Errorf("prep: load: %w", err)
 		}
 		stmts := len(prog.IR.Stmts)
-		on, err := prepSolve(ctx, prog, repeat, solvePar, false)
+		on, err := prepSolve(ctx, prog, repeat, false)
 		if err != nil {
 			return fmt.Errorf("prep: %d stmts: %w", stmts, err)
 		}
-		off, err := prepSolve(ctx, prog, repeat, solvePar, true)
+		off, err := prepSolve(ctx, prog, repeat, true)
 		if err != nil {
 			return fmt.Errorf("prep ablation: %d stmts: %w", stmts, err)
 		}

@@ -36,7 +36,8 @@
 //	-max-facts n       per-request points-to-fact ceiling (0 = none)
 //	-max-cells n       per-request cell-count ceiling (0 = none)
 //	-max-inflight-solves n  solves admitted concurrently per endpoint
-//	                   (0 = unlimited). With a limit set, a bounded queue
+//	                   (0 = unlimited). One slot is one solve on one core.
+//	                   With a limit set, a bounded queue
 //	                   forms behind the slots and overflow is rejected with
 //	                   429 + Retry-After; a request whose deadline budget
 //	                   cannot cover the estimated solve cost is shed with
@@ -95,7 +96,7 @@ func run() error {
 	maxSource := flag.Int64("max-source-bytes", 4<<20, "request body size cap in bytes")
 	maxSessions := flag.Int("max-sessions", 32, "warm demand-query sessions kept resident")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-	maxInflight := flag.Int("max-inflight-solves", 0, "concurrent solves admitted per endpoint (0 = unlimited, no admission control); slots count solves, not cores — an intra-solve parallel analysis fans out further")
+	maxInflight := flag.Int("max-inflight-solves", 0, "concurrent solves admitted per endpoint (0 = unlimited, no admission control); one slot is one solve on one core")
 	solveQueue := flag.Int("solve-queue", 0, "requests allowed to wait for a solve slot (0 = 4x -max-inflight-solves); beyond it, 429")
 	chaosSpec := flag.String("chaos", "", "deterministic fault injection, e.g. seed=7,solve-delay=50ms:0.3,spill-err=0.1,panic=1,slow-write=5ms:0.2 (empty = off; never use in production)")
 	var gov cli.Govern

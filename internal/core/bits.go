@@ -259,120 +259,3 @@ func (b *Bits) UnionDiff(o *Bits, buf []CellID) []CellID {
 	}
 	return buf
 }
-
-// UnionAll adds every id of every source set to b, returning how many were
-// new. It is the fan-in primitive of the parallel wave barrier: several
-// shards' pending buffers targeting one cell merge in a single k-way
-// block-merge pass (one count pass, one backward placement pass), instead
-// of k full UnionInPlace passes each moving b's tail. Sources equal to b or
-// nil are skipped; sources are not modified.
-func (b *Bits) UnionAll(srcs []*Bits) int {
-	// Collect live sources; degenerate fan-ins fall back to the pairwise
-	// primitives.
-	var liveArr [8]*Bits
-	live := liveArr[:0]
-	for _, o := range srcs {
-		if o == nil || o == b || o.n == 0 {
-			continue
-		}
-		if len(live) == cap(live) {
-			grown := make([]*Bits, len(live), 2*len(live))
-			copy(grown, live)
-			live = grown
-		}
-		live = append(live, o)
-	}
-	switch len(live) {
-	case 0:
-		return 0
-	case 1:
-		return b.UnionInPlace(live[0])
-	}
-
-	// Pass 1: count the distinct block indexes the union of the sources
-	// contributes beyond b, with a k-way forward scan.
-	var curArr [8]int
-	cur := curArr[:0]
-	for range live {
-		cur = append(cur, 0)
-	}
-	missing := 0
-	bi := 0
-	for {
-		// Smallest unconsumed block index across the sources.
-		blk := ^uint32(0)
-		for i, o := range live {
-			if cur[i] < len(o.blocks) && o.blocks[cur[i]].idx < blk {
-				blk = o.blocks[cur[i]].idx
-			}
-		}
-		if blk == ^uint32(0) {
-			break
-		}
-		for i, o := range live {
-			if cur[i] < len(o.blocks) && o.blocks[cur[i]].idx == blk {
-				cur[i]++
-			}
-		}
-		for bi < len(b.blocks) && b.blocks[bi].idx < blk {
-			bi++
-		}
-		if bi == len(b.blocks) || b.blocks[bi].idx != blk {
-			missing++
-		}
-	}
-
-	// Pass 2: grow b's tail by the missing blocks and merge backwards —
-	// the UnionInPlace trick generalized to k sources: at each step the
-	// largest pending block index is placed, OR-ing together every source
-	// (and b) block sharing it. Each of b's original blocks is read before
-	// its slot is overwritten because the write cursor never overtakes the
-	// read cursor from behind.
-	old := len(b.blocks)
-	for i := 0; i < missing; i++ {
-		b.blocks = append(b.blocks, bitsBlock{})
-	}
-	for i, o := range live {
-		cur[i] = len(o.blocks) - 1
-	}
-	w := len(b.blocks) - 1
-	rb := old - 1
-	for {
-		// Largest unplaced block index across b and the sources.
-		blk := uint32(0)
-		have := false
-		if rb >= 0 {
-			blk, have = b.blocks[rb].idx, true
-		}
-		for i, o := range live {
-			if cur[i] >= 0 {
-				if idx := o.blocks[cur[i]].idx; !have || idx > blk {
-					blk, have = idx, true
-				}
-			}
-		}
-		if !have {
-			break
-		}
-		word := uint64(0)
-		if rb >= 0 && b.blocks[rb].idx == blk {
-			word = b.blocks[rb].word
-			rb--
-		}
-		for i, o := range live {
-			if cur[i] >= 0 && o.blocks[cur[i]].idx == blk {
-				word |= o.blocks[cur[i]].word
-				cur[i]--
-			}
-		}
-		b.blocks[w] = bitsBlock{idx: blk, word: word}
-		w--
-	}
-	total := 0
-	for i := range b.blocks {
-		total += bits.OnesCount64(b.blocks[i].word)
-	}
-	added := total - b.n
-	b.n = total
-	return added
-}

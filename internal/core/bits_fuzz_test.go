@@ -118,85 +118,3 @@ func FuzzBitsUnionDiff(f *testing.F) {
 		}
 	})
 }
-
-// FuzzBitsUnionAll differentially tests the k-way bulk union against the
-// map model: three fuzz streams become the receiver and two sources, the
-// receiver must end up with exactly the three-way union (added count
-// matching), the sources must be untouched, and passing the receiver itself
-// (or nil) among the sources must be ignored.
-func FuzzBitsUnionAll(f *testing.F) {
-	f.Add([]byte{}, []byte{}, []byte{})                         // all empty
-	f.Add([]byte{0, 0}, []byte{}, []byte{})                     // sources empty
-	f.Add([]byte{}, []byte{0, 63}, []byte{1, 0})                // empty receiver grows
-	f.Add([]byte{0, 0}, []byte{0, 0}, []byte{0, 0})             // full overlap
-	f.Add([]byte{2, 1}, []byte{1, 1, 3, 1}, []byte{0, 5, 4, 5}) // interleaved blocks
-	f.Add([]byte{255, 63}, []byte{255, 63, 0, 0}, []byte{128, 7})
-	f.Add([]byte{1, 5, 1, 6}, []byte{1, 5}, []byte{1, 7, 1, 5}) // shared block, three ways
-	f.Fuzz(func(t *testing.T, bBytes, o1Bytes, o2Bytes []byte) {
-		var b, o1, o2 Bits
-		ref := make(map[uint32]bool)
-		for _, id := range decodeBitsIDs(bBytes) {
-			b.Add(id)
-			ref[uint32(id)] = true
-		}
-		o1Ref := make(map[uint32]bool)
-		for _, id := range decodeBitsIDs(o1Bytes) {
-			o1.Add(id)
-			o1Ref[uint32(id)] = true
-		}
-		o2Ref := make(map[uint32]bool)
-		for _, id := range decodeBitsIDs(o2Bytes) {
-			o2.Add(id)
-			o2Ref[uint32(id)] = true
-		}
-		union := make(map[uint32]bool, len(ref)+len(o1Ref)+len(o2Ref))
-		for id := range ref {
-			union[id] = true
-		}
-		for id := range o1Ref {
-			union[id] = true
-		}
-		for id := range o2Ref {
-			union[id] = true
-		}
-		wantAdded := len(union) - len(ref)
-
-		// Self and nil entries in the source list must be skipped.
-		if added := b.UnionAll([]*Bits{&o1, nil, &b, &o2}); added != wantAdded {
-			t.Fatalf("UnionAll added = %d, want %d", added, wantAdded)
-		}
-		if b.Len() != len(union) {
-			t.Fatalf("b.Len = %d, want %d", b.Len(), len(union))
-		}
-		prev := CellID(0)
-		first := true
-		b.Iterate(func(id CellID) {
-			if !union[uint32(id)] {
-				t.Fatalf("b contains %d not in the union model", id)
-			}
-			if !first && id <= prev {
-				t.Fatalf("b not ascending at %d after %d", id, prev)
-			}
-			prev, first = id, false
-		})
-		if o1.Len() != len(o1Ref) || o2.Len() != len(o2Ref) {
-			t.Fatalf("sources mutated: o1=%d/%d o2=%d/%d",
-				o1.Len(), len(o1Ref), o2.Len(), len(o2Ref))
-		}
-		o1.Iterate(func(id CellID) {
-			if !o1Ref[uint32(id)] {
-				t.Fatalf("o1 mutated: contains %d", id)
-			}
-		})
-		o2.Iterate(func(id CellID) {
-			if !o2Ref[uint32(id)] {
-				t.Fatalf("o2 mutated: contains %d", id)
-			}
-		})
-
-		// Idempotence: unioning the same sources again adds nothing.
-		if added := b.UnionAll([]*Bits{&o1, &o2}); added != 0 {
-			t.Fatalf("repeated UnionAll added %d ids", added)
-		}
-	})
-}

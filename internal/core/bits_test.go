@@ -134,43 +134,6 @@ func TestBitsUnion(t *testing.T) {
 	}
 }
 
-// TestBitsUnionAllAgainstPairwise cross-checks the k-way merge against a
-// fold of UnionInPlace over random source lists, including high fan-in.
-func TestBitsUnionAllAgainstPairwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		k := 2 + rng.Intn(12) // beyond the stack-array fast path (8)
-		var a, b Bits
-		srcs := make([]*Bits, k)
-		for i := range srcs {
-			srcs[i] = new(Bits)
-			for j := 0; j < rng.Intn(60); j++ {
-				srcs[i].Add(CellID(rng.Intn(1 << 12)))
-			}
-		}
-		for j := 0; j < rng.Intn(60); j++ {
-			id := CellID(rng.Intn(1 << 12))
-			a.Add(id)
-			b.Add(id)
-		}
-		wantAdded := 0
-		for _, o := range srcs {
-			wantAdded += b.UnionInPlace(o)
-		}
-		if got := a.UnionAll(srcs); got != wantAdded {
-			t.Fatalf("trial %d: UnionAll added %d, pairwise added %d", trial, got, wantAdded)
-		}
-		if a.Len() != b.Len() {
-			t.Fatalf("trial %d: UnionAll Len %d, pairwise Len %d", trial, a.Len(), b.Len())
-		}
-		b.Iterate(func(id CellID) {
-			if !a.Has(id) {
-				t.Fatalf("trial %d: UnionAll missing %d", trial, id)
-			}
-		})
-	}
-}
-
 // benchBits builds a deterministic set of n ids spread over the given id
 // range (shared benchmark fixture).
 func benchBits(seed int64, n, idRange int) *Bits {
@@ -206,35 +169,6 @@ func BenchmarkBitsUnionDiff(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			buf = dst.UnionDiff(src, buf[:0])
-		}
-	})
-}
-
-// BenchmarkBitsUnionAll compares the single-pass k-way barrier merge with
-// the pairwise fold it replaces, at the fan-in the parallel executor
-// produces (one pending buffer per publishing shard).
-func BenchmarkBitsUnionAll(b *testing.B) {
-	const k = 6
-	srcs := make([]*Bits, k)
-	for i := range srcs {
-		srcs[i] = benchBits(int64(20+i), 256, 1<<14)
-	}
-	b.Run("unionall", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var dst Bits
-			dst.UnionAll(srcs)
-		}
-	})
-	b.Run("pairwise", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var dst Bits
-			for _, o := range srcs {
-				dst.UnionInPlace(o)
-			}
 		}
 	})
 }

@@ -15,17 +15,17 @@ import (
 // as an epoch at each wave barrier (and once more when the solve finishes):
 // cells touched during the wave are hashed over their exact block
 // representation and re-pointed at the first allocation seen with equal
-// content. Epochs happen only at deterministic points on the solver
-// goroutine, so the parallel executor's observables are unaffected.
+// content. Epochs happen only at deterministic points of the sequential
+// schedule, so the Figure-3 counters and fact order are unaffected.
 //
 // The sharing discipline is a single invariant: a cell whose shared flag is
-// set never mutates its Bits in place. The three mutation sites (addFact,
-// mergeFrom, and the parallel executor's mergeShard) check sharedSet first
-// and either prove the mutation a no-op (membership / subsumption — the
-// common case around converged chains, and the reason interning saves time
-// as well as space) or clone through cowSet. Shared allocations are likewise
-// never recycled into the Bits free pool (mergeCells guards its one recycle
-// site), since pool reuse would rewrite blocks other cells still read.
+// set never mutates its Bits in place. The two mutation sites (addFact and
+// mergeFrom) check sharedSet first and either prove the mutation a no-op
+// (membership / subsumption — the common case around converged chains, and
+// the reason interning saves time as well as space) or clone through cowSet.
+// Shared allocations are likewise never recycled into the Bits free pool
+// (mergeCells guards its one recycle site), since pool reuse would rewrite
+// blocks other cells still read.
 //
 // Equality is over the exact representation (block list and population),
 // not the abstract set: Remove can leave zero words behind, and treating
@@ -74,8 +74,6 @@ func bitsEqual(a, b *Bits) bool {
 // sharedSet reports whether c's blocks alias an interned allocation and must
 // not be mutated in place. Cells past the flag array's end were interned
 // into the cell table after the last epoch, so they cannot be sharing.
-// Safe from parallel workers: the flag is only set at barriers, and only
-// cleared (via cowSet) by the worker that owns c.
 func (s *solver) sharedSet(c CellID) bool {
 	return s.intern != nil && int(c) < len(s.intern.shared) && s.intern.shared[c]
 }

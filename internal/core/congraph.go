@@ -45,30 +45,14 @@ type WaveStats struct {
 	// carried — what a per-fact worklist schedule would have traversed.
 	FactCrossings int
 
-	// ParWaves is the number of waves the parallel shard executor ran
-	// (zero for a sequential solve). Like Waves/EdgeBatches it is a
-	// deterministic function of (program, strategy, Options.Parallelism).
-	ParWaves int
-	// ParShards is the number of shard drains those waves performed.
-	ParShards int
-	// ParSteals counts shards a worker claimed from another worker's
-	// queue. It is the one counter that depends on runtime scheduling
-	// (and GOMAXPROCS), so it is excluded from regression baselines and
-	// never compared across runs.
-	ParSteals int
-	// ParPendings is the number of cross-shard pending delta buffers
-	// merged at wave barriers.
-	ParPendings int
-
 	// PrepClasses is the number of pointer-equivalence classes the
 	// offline prepass merged (prepass.go); PrepCollapsed the cells folded
 	// into another representative by those merges (class size minus one,
 	// summed); PrepChains the cells whose class membership came from the
 	// single-predecessor inheritance rule (copy chains and cast temps)
 	// rather than a shared signature. All three are a deterministic
-	// function of (program, strategy) — the prepass runs before any
-	// schedule-dependent work — but they are still zeroed in regression
-	// baselines recorded under parallelism, alongside the intern family.
+	// function of (program, strategy): the prepass runs before the
+	// fixpoint starts.
 	PrepClasses   int
 	PrepCollapsed int
 	PrepChains    int
@@ -78,9 +62,9 @@ type WaveStats struct {
 	// number of sets re-pointed at a canonical equal allocation;
 	// InternBytes the approximate block storage those aliasing events
 	// released (capacity of the dropped allocation, cumulative — a set
-	// re-cloned by copy-on-write and interned again counts again). The
-	// family is schedule-dependent: epochs fall at wave barriers, so the
-	// values differ between sequential and parallel executors.
+	// re-cloned by copy-on-write and interned again counts again). Epochs
+	// fall at wave barriers, so the family follows the wave sequence; like
+	// Waves it is a deterministic function of (program, strategy).
 	InternEpochs int
 	InternSets   int
 	InternBytes  int
@@ -147,12 +131,6 @@ func (s *solver) runWaves() {
 			if s.stats.Waves == 1 || s.edgesSinceSCC > 0 {
 				s.edgesSinceSCC = 0
 				s.detectCycles()
-				if s.par != nil {
-					// Merges only happen inside detectCycles, so this is
-					// the one place the workers' flat find() snapshot can
-					// go stale.
-					s.par.refreshFlat(s)
-				}
 			}
 			s.redundant = 0
 			if s.stop != nil {
@@ -165,33 +143,21 @@ func (s *solver) runWaves() {
 		// during this wave land on the fresh list and join the next one.
 		snap := s.dirty
 		s.dirty, s.dirtyPrev = s.dirtyPrev[:0], snap
-		if s.par != nil && len(snap) >= parMinFrontier {
-			// Parallel ranked walk: shards of the topo order drained by
-			// worker goroutines, cross-shard deltas and rule firings
-			// deferred to a deterministic barrier. The dispatch decision
-			// depends only on the dirty count, never on timing, so the
-			// wave sequence is identical run to run.
-			s.par.runWave(s)
+		for i := len(s.topo) - 1; i >= 0; i-- {
+			c := s.topo[i]
+			if s.delta[c].Len() == 0 {
+				continue
+			}
 			if s.stop != nil {
 				return
 			}
-		} else {
-			for i := len(s.topo) - 1; i >= 0; i-- {
-				c := s.topo[i]
-				if s.delta[c].Len() == 0 {
-					continue
-				}
-				if s.stop != nil {
+			if s.steps%cancelCheckEvery == 0 {
+				if s.checkCtx(); s.stop != nil {
 					return
 				}
-				if s.steps%cancelCheckEvery == 0 {
-					if s.checkCtx(); s.stop != nil {
-						return
-					}
-				}
-				s.steps++
-				s.drain(c)
 			}
+			s.steps++
+			s.drain(c)
 		}
 		// Residual: dirty cells outside the ranked subgraph, deduplicated
 		// and drained in ascending id order for determinism.

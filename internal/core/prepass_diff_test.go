@@ -5,8 +5,10 @@ package core_test
 // solver must agree byte-for-byte on every observable — fact dumps,
 // TotalFacts, AvgDerefSetSize, and the Figure-3 instrumentation — on every
 // corpus program under all four strategies. The parallel variant runs the
-// same comparison through the work-stealing executor so `go test -race`
-// exercises the copy-on-write guards under real contention.
+// same comparison with every program × strategy solve concurrent, all
+// sharing one loaded IR per program, so `go test -race` checks that the
+// prepass and the interner keep their state per solve — the property the
+// AnalyzeAll batch pool relies on.
 
 import (
 	"fmt"
@@ -19,14 +21,14 @@ import (
 )
 
 func TestPrepassDifferentialCorpus(t *testing.T) {
-	prepassDifferential(t, core.Options{})
+	prepassDifferential(t, false)
 }
 
 func TestPrepassDifferentialCorpusParallel(t *testing.T) {
-	prepassDifferential(t, core.Options{Parallelism: 8})
+	prepassDifferential(t, true)
 }
 
-func prepassDifferential(t *testing.T, baseOpts core.Options) {
+func prepassDifferential(t *testing.T, parallel bool) {
 	names := corpus.SortedByGroup()
 	if testing.Short() {
 		names = names[:4]
@@ -42,13 +44,14 @@ func prepassDifferential(t *testing.T, baseOpts core.Options) {
 		}
 		for _, sname := range metrics.StrategyNames {
 			t.Run(name+"/"+sname, func(t *testing.T) {
+				if parallel {
+					t.Parallel()
+				}
 				onStrat := metrics.NewStrategy(sname, res.Layout)
-				on := core.AnalyzeWith(res.IR, onStrat, baseOpts)
+				on := core.Analyze(res.IR, onStrat)
 
-				offOpts := baseOpts
-				offOpts.NoPrepass = true
 				offStrat := metrics.NewStrategy(sname, res.Layout)
-				off := core.AnalyzeWith(res.IR, offStrat, offOpts)
+				off := core.AnalyzeWith(res.IR, offStrat, core.Options{NoPrepass: true})
 
 				refStrat := metrics.NewStrategy(sname, res.Layout)
 				ref := core.AnalyzeReference(res.IR, refStrat, core.Options{})

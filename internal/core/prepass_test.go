@@ -180,21 +180,18 @@ func TestPrepassDisabledUnderLimitsAndOffsets(t *testing.T) {
 }
 
 // The prep_* counters are a pure function of (program, strategy): repeat
-// runs and parallel runs must report identical numbers, which is what lets
-// the regression baseline pin them on sequential evaluations.
+// runs must report identical numbers, which is what lets the regression
+// baseline pin them.
 func TestPrepassCountersDeterministic(t *testing.T) {
 	r := loadIR(t, chainSrc(30), nil)
 	for name, strat := range exactStrategies() {
-		seq1 := core.Analyze(r.IR, strat)
-		seq2 := core.Analyze(r.IR, strat)
-		par := core.AnalyzeWith(r.IR, strat, core.Options{Parallelism: 8})
-		for label, res := range map[string]*core.Result{"repeat": seq2, "parallel": par} {
-			if res.Wave.PrepClasses != seq1.Wave.PrepClasses ||
-				res.Wave.PrepCollapsed != seq1.Wave.PrepCollapsed ||
-				res.Wave.PrepChains != seq1.Wave.PrepChains {
-				t.Errorf("%s/%s: prep counters drifted: first %+v, %s %+v",
-					name, label, seq1.Wave, label, res.Wave)
-			}
+		first := core.Analyze(r.IR, strat)
+		repeat := core.Analyze(r.IR, strat)
+		if repeat.Wave.PrepClasses != first.Wave.PrepClasses ||
+			repeat.Wave.PrepCollapsed != first.Wave.PrepCollapsed ||
+			repeat.Wave.PrepChains != first.Wave.PrepChains {
+			t.Errorf("%s: prep counters drifted: first %+v, repeat %+v",
+				name, first.Wave, repeat.Wave)
 		}
 	}
 }

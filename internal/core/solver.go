@@ -208,19 +208,6 @@ type Options struct {
 	// kill switch.
 	NoCycleElim bool
 
-	// Parallelism is the number of workers the wave scheduler may use
-	// inside one solve. 0 and 1 run the sequential executor; higher values
-	// shard each wave's ranked frontier across that many workers
-	// (parwave.go), with work stealing between them. Points-to fact sets
-	// are byte-identical at every setting and across runs at any
-	// GOMAXPROCS; schedule-dependent performance counters (Waves,
-	// EdgeBatches, FactCrossings, and the ParWave* family) are a
-	// deterministic function of (program, strategy, Parallelism) except
-	// WaveStats.ParSteals, which depends on runtime scheduling. The knob
-	// is inert — sequential — whenever the constraint-graph layer is off
-	// (NoCycleElim, resource Limits, or a non-exact-edge strategy).
-	Parallelism int
-
 	// UseUnknown implements the alternative §4.2.1 sketches before
 	// adopting Assumption 1: pointer-arithmetic results additionally
 	// carry a special Unknown value representing a possibly corrupted
@@ -486,11 +473,6 @@ func newSolver(ctx context.Context, prog *ir.Program, strat Strategy, opts Optio
 	// once, which the per-fact trip accounting of MaxFacts/MaxCells (and
 	// the step accounting of MaxSteps) is defined against.
 	s.waves = s.exact && !opts.NoCycleElim && opts.Limits == (Limits{})
-	// The parallel wave executor needs the wave scheduler, and the PTRTRACE
-	// debug dump needs the strictly sequential schedule to stay readable.
-	if opts.Parallelism > 1 && s.waves && traceCell == "" {
-		s.par = newParExec(opts.Parallelism)
-	}
 	// Offline prepass + set interner: exact edges and zero limits for the
 	// same reasons as the wave layer (signatures are defined over the
 	// static exact-edge graph; merging equalizes sets wholesale), no
@@ -645,7 +627,6 @@ type solver struct {
 	// that re-arms detection, merged whether any SCC collapsed.
 	waves         bool
 	merged        bool
-	par           *parExec // non-nil when Options.Parallelism > 1 and waves are on
 	parent        []CellID
 	rank          []int32
 	redundant     int

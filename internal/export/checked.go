@@ -88,10 +88,14 @@ func ReadSnapshotChecked(r io.Reader) (*Snapshot, error) {
 	if _, err := fmt.Sscanf(fields[2], "%d", &length); err != nil || length < 0 {
 		return nil, corruptf("malformed length %q", fields[2])
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	// The declared length is untrusted until the digest checks out, so the
+	// buffer grows with the bytes actually present rather than being sized
+	// from the header.
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, br, length); err != nil {
 		return nil, corruptf("truncated payload: %v", err)
 	}
+	payload := buf.Bytes()
 	// Trailing bytes beyond the declared length mean the file is not what
 	// the header vouches for (e.g. two writes interleaved).
 	if _, err := br.ReadByte(); err != io.EOF {

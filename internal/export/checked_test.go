@@ -75,6 +75,13 @@ func TestCheckedDetectsCorruption(t *testing.T) {
 			i := bytes.IndexByte(b, '\n')
 			return b[:i+1]
 		},
+		"huge-length": func(b []byte) []byte {
+			// A header claiming far more bytes than follow must fail as
+			// truncated without allocating what it claims.
+			i := bytes.IndexByte(b, '\n')
+			sum := b[len(checkedMagic)+1 : len(checkedMagic)+1+64]
+			return append([]byte(checkedMagic+" "+string(sum)+" 33333333333\n"), b[i+1:]...)
+		},
 		"wrong-version": func(b []byte) []byte {
 			var w bytes.Buffer
 			bad := *snap

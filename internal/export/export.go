@@ -107,19 +107,11 @@ type RunJSON struct {
 	FactCrossings   int `json:"fact_crossings,omitempty"`
 	TraversalsSaved int `json:"traversals_saved,omitempty"`
 
-	// Parallel wave-executor counters, zero on sequential runs. par_steals
-	// is schedule-dependent (it varies run to run); the others are
-	// deterministic at a fixed parallelism.
-	ParWaves    int `json:"par_waves,omitempty"`
-	ParShards   int `json:"par_shards,omitempty"`
-	ParSteals   int `json:"par_steals,omitempty"`
-	ParPendings int `json:"par_pendings,omitempty"`
-
 	// Offline-prepass and set-interner counters, zero under the NoPrepass
 	// ablation (or when the pair did not engage). The prep_* family is a
-	// deterministic function of (program, strategy); the intern_* family
-	// depends on wave structure and peak_live_bytes on the machine, so
-	// regression baselines zero them like the par_* family.
+	// deterministic function of (program, strategy) and the intern_* family
+	// of the wave schedule; peak_live_bytes depends on the machine, so
+	// regression baselines zero it.
 	PrepClasses   int    `json:"prep_classes,omitempty"`
 	PrepCollapsed int    `json:"prep_collapsed,omitempty"`
 	PrepChains    int    `json:"prep_chains,omitempty"`
@@ -170,10 +162,6 @@ func Program(p *metrics.Program) ProgramJSON {
 			EdgeBatches:        r.Wave.EdgeBatches,
 			FactCrossings:      r.Wave.FactCrossings,
 			TraversalsSaved:    r.Wave.TraversalsSaved(),
-			ParWaves:           r.Wave.ParWaves,
-			ParShards:          r.Wave.ParShards,
-			ParSteals:          r.Wave.ParSteals,
-			ParPendings:        r.Wave.ParPendings,
 			PrepClasses:        r.Wave.PrepClasses,
 			PrepCollapsed:      r.Wave.PrepCollapsed,
 			PrepChains:         r.Wave.PrepChains,
@@ -187,27 +175,14 @@ func Program(p *metrics.Program) ProgramJSON {
 }
 
 // Evaluation is the top-level JSON document for a full corpus run.
-// SolveParallelism records the intra-solve worker count the run used (absent
-// for sequential runs) so readers know whether the schedule counters —
-// waves, edge_batches, fact_crossings, par_* — are comparable across files.
 type Evaluation struct {
-	ABI              string        `json:"abi"`
-	SolveParallelism int           `json:"solve_parallelism,omitempty"`
-	Programs         []ProgramJSON `json:"programs"`
+	ABI      string        `json:"abi"`
+	Programs []ProgramJSON `json:"programs"`
 }
 
 // WriteEvaluation marshals a full evaluation to w (indented).
 func WriteEvaluation(w io.Writer, abi string, progs []*metrics.Program) error {
-	return WriteEvaluationPar(w, abi, 0, progs)
-}
-
-// WriteEvaluationPar is WriteEvaluation with the solve parallelism stamped
-// into the document (0 omits the field — a sequential run).
-func WriteEvaluationPar(w io.Writer, abi string, solvePar int, progs []*metrics.Program) error {
-	if solvePar == 1 {
-		solvePar = 0 // 1 is the sequential executor; don't stamp it
-	}
-	ev := Evaluation{ABI: abi, SolveParallelism: solvePar}
+	ev := Evaluation{ABI: abi}
 	for _, p := range progs {
 		ev.Programs = append(ev.Programs, Program(p))
 	}

@@ -154,10 +154,14 @@ func ReadSnapshot(r io.Reader) (*Graph, error) {
 	if _, err := fmt.Sscanf(fields[2], "%d", &length); err != nil || length < 0 {
 		return nil, corruptf("malformed length %q", fields[2])
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	// The declared length is untrusted until the digest checks out, so the
+	// buffer grows with the bytes actually present rather than being sized
+	// from the header.
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, br, length); err != nil {
 		return nil, corruptf("truncated payload: %v", err)
 	}
+	payload := buf.Bytes()
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, corruptf("trailing bytes after declared payload")
 	}

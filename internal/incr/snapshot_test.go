@@ -113,6 +113,7 @@ func TestSnapshotAdversarial(t *testing.T) {
 		"short-header":   []byte(snapMagic + " abc\n"),
 		"bad-digest":     []byte(snapMagic + " zz 4\nnull"),
 		"bad-length":     []byte(snapMagic + " " + strings.Repeat("a", 64) + " -4\nnull"),
+		"huge-length":    []byte(snapMagic + " " + strings.Repeat("a", 64) + " 33333333333\nnull"),
 		"truncated":      valid[:len(valid)-7],
 		"trailing-tail":  append(append([]byte{}, valid...), "extra"...),
 		"not-a-snapshot": []byte("just some text\nmore text\n"),

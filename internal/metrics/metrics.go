@@ -155,12 +155,6 @@ type Options struct {
 	// Parallelism bounds the worker count of MeasureCorpus; 0 selects
 	// GOMAXPROCS. Measure (single program) is always sequential.
 	Parallelism int
-	// SolveParallelism is core.Options.Parallelism for each solve: values
-	// above 1 run the work-stealing wave executor inside every analysis.
-	// Fact sets and Figure-3 counters are identical at any setting; the
-	// schedule counters (waves, edge batches, steals) are not, so regress
-	// baselines are recorded sequentially (the 0/1 default).
-	SolveParallelism int
 	// NoMemo disables the strategies' lookup/resolve memoization
 	// (ablation; results are identical, only speed changes).
 	NoMemo bool
@@ -219,8 +213,7 @@ func MeasureContext(ctx context.Context, name string, sources []frontend.Source,
 			}
 			r := core.AnalyzeContext(ctx, res.IR, strat,
 				core.Options{Limits: opts.Limits, NoCycleElim: opts.NoCycleElim,
-					NoPrepass: opts.NoPrepass, TrackPeakMem: opts.TrackPeakMem,
-					Parallelism: opts.SolveParallelism})
+					NoPrepass: opts.NoPrepass, TrackPeakMem: opts.TrackPeakMem})
 			if r.Incomplete != nil {
 				return nil, fmt.Errorf("%s/%s: %w", name, sn, r.Incomplete.AsError())
 			}
@@ -334,8 +327,7 @@ func MeasureCorpusContext(ctx context.Context, specs []Spec, fopts frontend.Opti
 			}
 			jobs[i] = core.BatchJob{Prog: loaded[pr.prog].IR, Strat: strat,
 				Opts: core.Options{Limits: opts.Limits, NoCycleElim: opts.NoCycleElim,
-					NoPrepass: opts.NoPrepass, TrackPeakMem: opts.TrackPeakMem,
-					Parallelism: opts.SolveParallelism}}
+					NoPrepass: opts.NoPrepass, TrackPeakMem: opts.TrackPeakMem}}
 		}
 		results, errs := core.AnalyzeBatchContext(ctx, jobs, opts.Parallelism)
 		// Keep only the fastest repetition per pair (repetitions differ

@@ -161,38 +161,14 @@ func b2f(b bool) float64 {
 }
 
 // Update writes the current evaluation to the baseline file at root/
-// BaselinePath (durations are zeroed so baseline diffs stay clean). When the
-// evaluation ran with intra-solve parallelism, the schedule-dependent
-// counters — waves, edge batches, fact crossings and the par_* family — are
-// zeroed too: they are deterministic only at a fixed executor configuration,
-// so a baseline recorded in parallel must not pin them against future
-// sequential (or differently-sharded) runs. The intern_* family follows the
-// wave schedule the same way, so it is zeroed alongside par_*; prep_* is a
-// pure function of (program, strategy) but is zeroed there too so a parallel
-// baseline pins only parallelism-invariant observables. peak_live_bytes is
-// machine-dependent and always zeroed. Fact counts, set sizes and the
-// Figure-3 counters are identical at every parallelism and stay pinned.
+// BaselinePath. Durations and peak_live_bytes are zeroed so baseline diffs
+// stay clean: both depend on the machine. Every other counter is a
+// deterministic function of (program, strategy) and stays pinned.
 func Update(root string, ev *export.Evaluation) error {
 	for i := range ev.Programs {
 		for name, run := range ev.Programs[i].Runs {
 			run.DurationNS = 0
 			run.PeakLiveBytes = 0
-			if ev.SolveParallelism > 1 {
-				run.Waves = 0
-				run.EdgeBatches = 0
-				run.FactCrossings = 0
-				run.TraversalsSaved = 0
-				run.ParWaves = 0
-				run.ParShards = 0
-				run.ParSteals = 0
-				run.ParPendings = 0
-				run.PrepClasses = 0
-				run.PrepCollapsed = 0
-				run.PrepChains = 0
-				run.InternEpochs = 0
-				run.InternSets = 0
-				run.InternBytes = 0
-			}
 			ev.Programs[i].Runs[name] = run
 		}
 	}

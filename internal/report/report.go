@@ -228,7 +228,6 @@ func WaveStats(w io.Writer, progs []*metrics.Program) {
 		tot.Wave.EdgeBatches, tot.Wave.FactCrossings, tot.Wave.TraversalsSaved())
 	fmt.Fprintln(w)
 	prepStats(w, progs)
-	parStats(w, progs)
 }
 
 // prepStats renders the offline constraint-reduction and set-interner
@@ -279,49 +278,6 @@ func prepStats(w io.Writer, progs []*metrics.Program) {
 	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 93))
 	fmt.Fprintf(w, "%-12s %-10s %8d %10d %7d %7d %9d %12d\n",
 		"total", "", tc, tcol, tch, te, ti, tb)
-	fmt.Fprintln(w)
-}
-
-// parStats renders the work-stealing wave-executor counters when any run
-// engaged it (sequential evaluations print nothing extra). Steals are the
-// one schedule-dependent column; everything else repeats exactly at a fixed
-// -solve-parallel.
-func parStats(w io.Writer, progs []*metrics.Program) {
-	engaged := false
-	for _, p := range progs {
-		for _, r := range p.Runs {
-			if r.Wave.ParWaves > 0 {
-				engaged = true
-			}
-		}
-	}
-	if !engaged {
-		return
-	}
-	fmt.Fprintln(w, "Parallel wave executor: sharded frontiers, work stealing, barrier merges")
-	fmt.Fprintln(w, "(steals vary run to run; all other columns are deterministic)")
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-12s %-10s %9s %8s %7s %9s\n",
-		"program", "strategy", "parwaves", "shards", "steals", "pendings")
-	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 60))
-	var tw, ts, tst, tp int
-	for _, p := range progs {
-		for _, s := range metrics.StrategyNames {
-			r := p.Runs[s]
-			if r == nil || r.Wave.ParWaves == 0 {
-				continue
-			}
-			ws := r.Wave
-			fmt.Fprintf(w, "%-12s %-10s %9d %8d %7d %9d\n",
-				p.Name, shortLabel[s], ws.ParWaves, ws.ParShards, ws.ParSteals, ws.ParPendings)
-			tw += ws.ParWaves
-			ts += ws.ParShards
-			tst += ws.ParSteals
-			tp += ws.ParPendings
-		}
-	}
-	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 60))
-	fmt.Fprintf(w, "%-12s %-10s %9d %8d %7d %9d\n", "total", "", tw, ts, tst, tp)
 	fmt.Fprintln(w)
 }
 

@@ -34,10 +34,9 @@ import (
 type AdmissionConfig struct {
 	// MaxInflight is the number of requests allowed to hold solver
 	// capacity concurrently; 0 disables admission control (unlimited).
-	// A slot is one solve, not one core: when the analysis runs with
-	// Options.Parallelism > 1, every admitted solve fans out that many
-	// workers during its parallel waves, so size MaxInflight for
-	// cores / per-solve parallelism rather than cores.
+	// Every solve runs its fixpoint on one goroutine, so one slot means
+	// one solve on one core: size MaxInflight to the cores the daemon may
+	// use for solving.
 	MaxInflight int
 	// MaxQueue is the number of requests allowed to wait for a slot beyond
 	// MaxInflight; 0 selects 4×MaxInflight. Further requests get 429.

@@ -133,14 +133,6 @@ type SolverVarz struct {
 	Waves           int64 `json:"waves"`            // topological passes run
 	TraversalsSaved int64 `json:"traversals_saved"` // edge traversals avoided vs per-fact schedule
 
-	// Work-stealing wave-executor totals, all zero while solves run
-	// sequentially (the default unless Options.Parallelism > 1 reaches the
-	// solver). Steals are schedule-dependent; the rest are deterministic
-	// per solve at a fixed parallelism.
-	ParWaves  int64 `json:"par_waves"`  // frontiers executed sharded
-	ParShards int64 `json:"par_shards"` // shards claimed across those waves
-	ParSteals int64 `json:"par_steals"` // shards claimed from another worker's queue
-
 	// Offline-prepass and set-interner totals (constraint reduction before
 	// the fixpoint, hash-consed points-to set sharing during it); zero when
 	// the pair did not engage.

@@ -118,9 +118,6 @@ type Server struct {
 	solveSCCs, solveMerged, solveWaves atomic.Int64
 	solveTravSaved                     atomic.Int64
 
-	// Parallel wave-executor totals (zero while solves run sequentially).
-	solveParWaves, solveParShards, solveParSteals atomic.Int64
-
 	// Offline-prepass and set-interner totals.
 	solvePrepClasses, solvePrepCollapsed atomic.Int64
 	solveInternSets, solveInternBytes    atomic.Int64
@@ -459,9 +456,6 @@ func (s *Server) solveSnapshot(ctx context.Context, endpoint, key, base string, 
 		s.solveMerged.Add(int64(ss.CellsMerged))
 		s.solveWaves.Add(int64(ss.Waves))
 		s.solveTravSaved.Add(int64(ss.TraversalsSaved))
-		s.solveParWaves.Add(int64(ss.ParWaves))
-		s.solveParShards.Add(int64(ss.ParShards))
-		s.solveParSteals.Add(int64(ss.ParSteals))
 		s.solvePrepClasses.Add(int64(ss.PrepClasses))
 		s.solvePrepCollapsed.Add(int64(ss.PrepCollapsed))
 		s.solveInternSets.Add(int64(ss.InternSets))
@@ -674,9 +668,6 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 			CellsMerged:     s.solveMerged.Load(),
 			Waves:           s.solveWaves.Load(),
 			TraversalsSaved: s.solveTravSaved.Load(),
-			ParWaves:        s.solveParWaves.Load(),
-			ParShards:       s.solveParShards.Load(),
-			ParSteals:       s.solveParSteals.Load(),
 			PrepClasses:     s.solvePrepClasses.Load(),
 			PrepCollapsed:   s.solvePrepCollapsed.Load(),
 			InternSets:      s.solveInternSets.Load(),

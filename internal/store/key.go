@@ -24,15 +24,13 @@ const keyVersion = "ptrcache/1"
 // so neither presentation order nor embedded separators can alias two
 // distinct programs. Limits are part of the key because a limit-tripped
 // report is a different (partial) value than the full fixpoint. Deliberately
-// excluded: Timeout (canceled runs are never cached), Config.Parallelism,
-// Options.Parallelism (the intra-solve wave executor is byte-identical to
-// the sequential solver at every worker count), NoMemoization,
-// DemandBudget (none changes the result, only how fast it arrives — a
-// budget trip reroutes to the same exhaustive fixpoint), and
-// NoPrepass/TrackPeakMem (the offline constraint-reduction prepass and its
-// hash-consed set pool are observable only through SolverStats, so the
-// ablation solves to the same facts it would cache). The
-// exclusion also means a warm session's key equals the limit-free
+// excluded: Timeout (canceled runs are never cached), Config.Parallelism
+// (the AnalyzeAll batch pool size), NoMemoization, DemandBudget (none
+// changes the result, only how fast it arrives — a budget trip reroutes to
+// the same exhaustive fixpoint), and NoPrepass/TrackPeakMem (the offline
+// constraint-reduction prepass and its hash-consed set pool are observable
+// only through SolverStats, so the ablation solves to the same facts it
+// would cache). The exclusion also means a warm session's key equals the limit-free
 // /v1/analyze key for the same sources, so the two tiers share addresses.
 //
 // The incremental layer reuses these keys as graph-residency addresses: an

@@ -38,19 +38,16 @@
 // Config.Parallelism with your own loop) and returns the reports in input
 // order.
 //
-// Within a single solve, Options.Parallelism sets the worker count of the
-// work-stealing wave executor (0 defaults to GOMAXPROCS, 1 forces the
-// sequential solver). The answer is byte-identical at every setting —
-// fact sets, set sizes and the Figure-3 counters all match the sequential
-// solve — so the knob is excluded from content-addressed cache keys
-// (store.Key) and from incremental graph identity; only wall time and the
-// SolverStats Par* schedule counters change.
+// A single solve runs one sequential fixpoint on the calling goroutine, so
+// its answer and every SolverStats counter are independent of GOMAXPROCS;
+// Config.Parallelism only spreads whole solves across workers.
 //
 // Options.NoPrepass ablates the offline constraint-reduction prepass and
-// the hash-consed points-to-set pool the same way: the pair changes peak
-// memory and wall time, never the answer, so NoPrepass (and TrackPeakMem)
-// are likewise excluded from cache keys and graph identity. The pair's
-// work is visible only through SolverStats (Prep*/Intern*/PeakLiveBytes).
+// the hash-consed points-to-set pool: the pair changes peak memory and
+// wall time, never the answer, so NoPrepass (and TrackPeakMem) are
+// excluded from content-addressed cache keys (store.Key) and from
+// incremental graph identity. The pair's work is visible only through
+// SolverStats (Prep*/Intern*/PeakLiveBytes).
 //
 // # Incremental re-analysis
 //
@@ -72,10 +69,10 @@
 // A Graph's identity is the captured Config: Strategy, ABI and the
 // result-changing Options (ModelMainArgs, NoLibSummaries,
 // CloneAllocWrappers, NoPtrArithSmear, NoMemoization, NoCycleElim) must all
-// match for a resume; Timeout, Config.Parallelism, Options.Parallelism and
-// DemandBudget are excluded because they never change an answer. Configs with Limits or FlagMisuse
-// are not resumable at all (Config.Resumable reports this) and always solve
-// cold.
+// match for a resume; Timeout, Config.Parallelism and DemandBudget are
+// excluded because they never change an answer. Configs with Limits or
+// FlagMisuse are not resumable at all (Config.Resumable reports this) and
+// always solve cold.
 //
 // # Stability contract
 //

@@ -13,8 +13,8 @@ package pointsto
 // one it was captured under. Strategy, ABI, and the result-changing Options
 // (ModelMainArgs, NoLibSummaries, CloneAllocWrappers, NoPtrArithSmear,
 // NoMemoization, NoCycleElim) all participate in that identity; Timeout,
-// Config.Parallelism, Options.Parallelism and DemandBudget do not (they
-// never change an answer).
+// Config.Parallelism and DemandBudget do not (they never change an
+// answer).
 // Configs carrying Limits or FlagMisuse are not resumable at all — an
 // incomplete solve cannot be captured, and misuse records are a whole-run
 // observable the delta path cannot reproduce.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -85,18 +84,9 @@ type Options struct {
 	// scheduling in the dense solver, falling back to the classic
 	// per-fact worklist (results are identical; ablation only).
 	NoCycleElim bool
-	// Parallelism sets the number of workers a single solve's fixpoint may
-	// use (the dense solver's work-stealing wave executor). 0 defaults to
-	// GOMAXPROCS; 1 forces the fully sequential executor. Points-to results
-	// are byte-identical at every setting and across runs, so the knob is
-	// excluded from content-addressed cache keys (store.Key) and from
-	// incremental-graph identity; only schedule counters in SolverStats
-	// vary. Distinct from Config.Parallelism, which bounds the AnalyzeAll
-	// batch worker pool across solves.
-	Parallelism int
 	// NoPrepass disables the dense solver's offline constraint-reduction
 	// prepass and its hash-consed set interner (results are identical;
-	// ablation and kill switch only). Like Parallelism it is excluded from
+	// ablation and kill switch only). It is excluded from
 	// content-addressed cache keys (store.Key) and from incremental-graph
 	// identity: only the prep_*/intern_* counters in SolverStats and the
 	// solve's memory/time profile change.
@@ -277,10 +267,6 @@ func solve(ctx context.Context, res *frontend.Result, cfg Config) *Report {
 }
 
 func coreOptions(cfg Config) core.Options {
-	par := cfg.Options.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	return core.Options{
 		NoPtrArithSmear: cfg.Options.NoPtrArithSmear,
 		UseUnknown:      cfg.Options.FlagMisuse,
@@ -288,7 +274,6 @@ func coreOptions(cfg Config) core.Options {
 		NoPrepass:       cfg.Options.NoPrepass,
 		TrackPeakMem:    cfg.Options.TrackPeakMem,
 		Limits:          cfg.Limits.core(),
-		Parallelism:     par,
 	}
 }
 
@@ -445,19 +430,6 @@ type SolverStats struct {
 	FactCrossings int
 	// TraversalsSaved is FactCrossings − EdgeBatches (floored at zero).
 	TraversalsSaved int
-	// ParWaves is the number of waves the parallel shard executor ran
-	// (zero when Options.Parallelism resolved to 1, or the wave layer was
-	// off, or every frontier stayed under the parallel threshold).
-	ParWaves int
-	// ParShards is the number of shard drains those parallel waves did.
-	ParShards int
-	// ParSteals counts shards claimed from another worker's queue. It is
-	// the only schedule-dependent counter (varies run to run); everything
-	// else here is deterministic at a fixed Parallelism.
-	ParSteals int
-	// ParPendings is the number of cross-shard pending delta buffers
-	// merged at wave barriers.
-	ParPendings int
 	// PrepClasses, PrepCollapsed and PrepChains describe the offline
 	// constraint-reduction prepass: equivalence classes merged before the
 	// fixpoint, cells folded into another representative by those merges,
@@ -469,8 +441,8 @@ type SolverStats struct {
 	// InternEpochs, InternSets and InternBytes describe the hash-consed
 	// set interner: passes run, sets re-pointed at a canonical equal
 	// allocation, and the approximate bytes those aliasing events
-	// released. Epoch placement follows wave barriers, so the family is
-	// schedule-dependent (like ParSteals, excluded from baselines).
+	// released. Epoch placement follows wave barriers, so the family
+	// tracks the wave schedule.
 	InternEpochs int
 	InternSets   int
 	InternBytes  int
@@ -491,10 +463,6 @@ func (r *Report) SolverStats() SolverStats {
 		EdgeBatches:     w.EdgeBatches,
 		FactCrossings:   w.FactCrossings,
 		TraversalsSaved: w.TraversalsSaved(),
-		ParWaves:        w.ParWaves,
-		ParShards:       w.ParShards,
-		ParSteals:       w.ParSteals,
-		ParPendings:     w.ParPendings,
 		PrepClasses:     w.PrepClasses,
 		PrepCollapsed:   w.PrepCollapsed,
 		PrepChains:      w.PrepChains,

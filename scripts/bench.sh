@@ -11,12 +11,6 @@
 # plus BENCH_<stamp>.incr.txt, the incremental re-analysis pass (ptrbench
 # -incr): warm resume vs cold solve per seeded single-function edit,
 #
-# plus BENCH_<stamp>.par.txt, a benchstat sample of the sequential solver
-# vs the work-stealing wave executor (BenchmarkParallelSolve on bc,
-# compiler and less):
-#
-#	benchstat -col /name BENCH_<stamp>.par.txt   # seq vs par8 per program
-#
 # plus BENCH_<stamp>.prep.txt, the offline-prepass pass (ptrbench -prep):
 # prepass + hash-consed sets vs their ablation on synthetic hub-and-chains
 # programs up to half a million statements — wall time, barrier-sampled
@@ -113,19 +107,6 @@ else
 	go run ./cmd/ptrbench -incr -repeat 9 -edits 3 >"$incrout"
 fi
 echo "wrote $incrout" >&2
-
-# Parallel pass: sequential vs work-stealing executor on the largest
-# programs (BENCH_<stamp>.par.txt). Single-core hosts measure the
-# executor's overhead, not a speedup — compare like against like.
-parout="$(bench_path .par.txt)"
-if [ "$short" = 1 ]; then
-	go test -run '^$' -bench 'BenchmarkParallelSolve/less/' -benchmem \
-		-count 3 -benchtime 5x . >"$parout"
-else
-	go test -run '^$' -bench BenchmarkParallelSolve -benchmem \
-		-count "$count" -benchtime "$benchtime" . >"$parout"
-fi
-echo "wrote $parout" >&2
 
 # Prepass pass: offline constraint reduction + hash-consed sets vs their
 # ablation at scale (BENCH_<stamp>.prep.txt). The run self-checks — a fact
