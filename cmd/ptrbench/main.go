@@ -12,8 +12,7 @@
 //	              stats, all (default)
 //	-stats        also print the solver's constraint-graph counters (SCCs
 //	              collapsed, cells merged, waves, edge traversals saved)
-//	-nocycle      disable online cycle elimination and wave scheduling
-//	              (ablation; facts are identical, only the schedule changes)
+//	              for the three exact-edge instances
 //	-noprep       disable the offline constraint-reduction prepass and the
 //	              hash-consed set pool (ablation; facts are identical)
 //	-peak-mem     sample peak live heap at wave barriers; surfaces as the
@@ -77,7 +76,6 @@ func run() error {
 	edits := flag.Int("edits", 3, "edits per program for -incr")
 	sweep := flag.Bool("sweep", false, "run the synthetic generator sweep")
 	stats := flag.Bool("stats", false, "print solver constraint-graph (cycle elimination) counters")
-	noCycle := flag.Bool("nocycle", false, "disable cycle elimination / wave scheduling (ablation)")
 	noPrep := flag.Bool("noprep", false, "disable the offline constraint-reduction prepass + set interner (ablation)")
 	peakMem := flag.Bool("peak-mem", false, "sample peak live heap at wave barriers (adds the peak-live column to -stats)")
 	prep := flag.Bool("prep", false, "measure the prepass + interner vs ablation on large synthetic programs")
@@ -151,7 +149,7 @@ func run() error {
 			pm, err := metrics.MeasureDemandContext(ctx, spec.Name, spec.Sources,
 				frontend.Options{ABI: theABI},
 				metrics.Options{Repeat: *repeat, Strategies: []string{"common-initial-seq"},
-					NoCycleElim: *noCycle, Limits: gov.Limits()})
+					Limits: gov.Limits()})
 			if err != nil {
 				return err
 			}
@@ -165,8 +163,7 @@ func run() error {
 	}
 
 	progs, err := metrics.MeasureCorpusContext(ctx, specs, frontend.Options{ABI: theABI},
-		metrics.Options{Repeat: *repeat, Parallelism: *parallel,
-			NoCycleElim: *noCycle, NoPrepass: *noPrep,
+		metrics.Options{Repeat: *repeat, Parallelism: *parallel, NoPrepass: *noPrep,
 			TrackPeakMem: *peakMem, Limits: gov.Limits()})
 	if err != nil {
 		return err

@@ -182,12 +182,6 @@ func (s *solver) internCell(c CellID) {
 	it.tab[h] = append(it.tab[h], c)
 }
 
-// peakSampleEvery is the classic worklist's drain cadence between peak-heap
-// samples under Options.TrackPeakMem (wave mode samples at barriers
-// instead). ReadMemStats is a stop-the-world operation, so the cadence errs
-// coarse.
-const peakSampleEvery = 4096
-
 // samplePeak records the current live heap into WaveStats.PeakLiveBytes if
 // it is the highest seen. No-op unless Options.TrackPeakMem is set.
 func (s *solver) samplePeak() {

@@ -6,6 +6,8 @@ import "slices"
 // over CellIDs that collapses cells proven pointer-equivalent, online SCC
 // detection over the exact (Size == 0) copy edges, and the wave scheduler
 // that drains the worklist in topological order of the condensed graph.
+// The wave loop is the solver's only fixpoint driver: every full solve and
+// every demand pump runs it.
 //
 // Cells on a cycle of exact copy edges provably converge to the same
 // points-to set — each member's set flows into every other member — so the
@@ -26,7 +28,9 @@ import "slices"
 // Range edges (the Offsets instance's Size != 0 byte ranges) are excluded by
 // construction: only strategies that declare exactEdges() populate the
 // exactOut adjacency this layer walks, and the Offsets instance does not —
-// its edges keep the generic PropagateEdge path untouched.
+// its edges keep the generic PropagateEdge path untouched. Without SCC
+// detection (Offsets, and the demand engine) nothing is ranked, so every
+// wave is a residual pass over the dirty cells in id order.
 
 // WaveStats counts the constraint-graph layer's work during one solve.
 type WaveStats struct {
@@ -36,7 +40,8 @@ type WaveStats struct {
 	// CellsMerged is the number of cells folded into another
 	// representative (SCC size minus one, summed over SCCs).
 	CellsMerged int
-	// Waves is the number of topological passes the scheduler ran.
+	// Waves is the number of passes the scheduler ran, counting the
+	// residual-only rounds of runs without SCC detection.
 	Waves int
 	// EdgeBatches is the number of batched copy-edge traversals actually
 	// performed: one per (edge, delta batch).
@@ -91,11 +96,11 @@ func (w WaveStats) TraversalsSaved() int {
 const cycleRedundancyTrigger = 64
 
 // find returns the representative of c under the union-find, with path
-// halving. Until the first merge actually happens — always, outside wave
-// mode — the mapping is the identity and costs one branch, so the seeding
-// phase (which dominates small solves) pays nothing for the indirection.
-// The forest only covers cells that existed at the last detection pass
-// (detectCycles grows it in one batch); anything younger is its own root.
+// halving. Until the first merge actually happens — always, without cycle
+// elimination or the prepass — the mapping is the identity and costs one
+// branch, so the seeding phase (which dominates small solves) pays nothing
+// for the indirection. The forest only covers cells that existed when it
+// was last grown (growForest); anything younger is its own root.
 func (s *solver) find(c CellID) CellID {
 	if !s.merged || int(c) >= len(s.parent) {
 		return c
@@ -107,7 +112,28 @@ func (s *solver) find(c CellID) CellID {
 	return c
 }
 
-// runWaves is the fixpoint loop of the wave scheduler. Each wave walks the
+// classSize returns the number of cells that observe rep's set: rep itself
+// plus every cell merged into it.
+func (s *solver) classSize(rep CellID) int {
+	if !s.merged || int(rep) >= len(s.size) {
+		return 1
+	}
+	return int(s.size[rep])
+}
+
+// growForest extends the union-find forest, the class sizes and the rank
+// table to cover the first n cells, in one batch — cheaper than maintaining
+// them on every interning; find() and the scheduler treat ids past the end
+// as unmerged and unranked.
+func (s *solver) growForest(n int) {
+	for i := len(s.parent); i < n; i++ {
+		s.parent = append(s.parent, CellID(i))
+		s.size = append(s.size, 1)
+		s.rank = append(s.rank, -1)
+	}
+}
+
+// runWaves is the solver's fixpoint loop. Each wave walks the
 // ranked subgraph — the Tarjan pop order, reversed, so sources come first —
 // draining every cell with a pending delta. Because downstream cells sit
 // later in the walk, a delta discovered at a source cascades through the
@@ -115,16 +141,16 @@ func (s *solver) find(c CellID) CellID {
 // way; only facts flowing against the topological order (derived by rules,
 // or crossing edges added mid-wave) wait for the next wave. Cells outside
 // the ranked subgraph (interned after the last detection, or never touched
-// by an exact edge) drain after the walk, in id order. SCC detection runs
-// before the first wave (the seeded graph already contains most cycles) and
-// again when redundant propagation evidence accumulates.
+// by an exact edge) drain after the walk, in id order. Under cycleElim, SCC
+// detection runs before the first wave (the seeded graph already contains
+// most cycles) and again when redundant propagation evidence accumulates.
 func (s *solver) runWaves() {
 	for len(s.dirty) > 0 {
 		if s.stop != nil {
 			return
 		}
 		s.stats.Waves++
-		if s.stats.Waves == 1 || s.redundant >= cycleRedundancyTrigger {
+		if s.cycleElim && (s.stats.Waves == 1 || s.redundant >= cycleRedundancyTrigger) {
 			// Re-detection is pointless unless an edge was added since the
 			// last pass: on a static graph every cycle is already collapsed,
 			// so redundant propagation alone cannot mean a missed SCC.
@@ -148,15 +174,9 @@ func (s *solver) runWaves() {
 			if s.delta[c].Len() == 0 {
 				continue
 			}
-			if s.stop != nil {
+			if !s.step() {
 				return
 			}
-			if s.steps%cancelCheckEvery == 0 {
-				if s.checkCtx(); s.stop != nil {
-					return
-				}
-			}
-			s.steps++
 			s.drain(c)
 		}
 		// Residual: dirty cells outside the ranked subgraph, deduplicated
@@ -178,15 +198,9 @@ func (s *solver) runWaves() {
 				continue // duplicate: several members dirtied one rep
 			}
 			prev = key
-			if s.stop != nil {
+			if !s.step() {
 				break
 			}
-			if s.steps%cancelCheckEvery == 0 {
-				if s.checkCtx(); s.stop != nil {
-					break
-				}
-			}
-			s.steps++
 			s.drain(CellID(key))
 		}
 		s.waveBuf = wave[:0]
@@ -231,13 +245,7 @@ func (s *solver) detectCycles() {
 	var next, sccID int32
 	var sccs [][]CellID
 
-	// Grow the union-find forest and rank table in one batch — cheaper than
-	// maintaining them on every interning, and find()/the scheduler treat
-	// ids past the end as unmerged and unranked.
-	for i := len(s.parent); i < n; i++ {
-		s.parent = append(s.parent, CellID(i))
-		s.rank = append(s.rank, -1)
-	}
+	s.growForest(n)
 
 	// Reset the previous pass's ranks so that rank >= 0 means exactly "in
 	// the topo order this pass is about to build" — the wave scheduler's
@@ -413,26 +421,57 @@ type mergePending struct {
 // any later fact arriving at the representative fires the combined list once
 // — precisely what the unmerged schedule would have done member by member.
 func (s *solver) mergeSCC(members []CellID) {
-	s.stats.SCCsFound++
-	s.stats.CellsMerged += len(members) - 1
-	s.mergeCells(members)
+	if s.mergeCells(members) {
+		s.stats.SCCsFound++
+		s.stats.CellsMerged += len(members) - 1
+	}
 }
 
 // mergeCells is the strategy-agnostic merge protocol shared by cycle
 // elimination (mergeSCC) and the offline prepass (prepass.go): it folds the
-// given cells into the smallest member and delivers each member's
+// given representatives into the smallest one and delivers each member's
 // outstanding facts through its own pre-merge consumers exactly once, per
 // the contract documented on mergeSCC. Callers account their own stats.
-func (s *solver) mergeCells(members []CellID) {
+//
+// The merge makes the union visible on every cell of every member's class,
+// so it charges those facts and cells against MaxFacts and MaxCells first;
+// a merge that would cross either limit aborts the run without merging and
+// reports false. Like addFact, a merge that lands exactly on MaxFacts is
+// recorded and then stops the run.
+func (s *solver) mergeCells(members []CellID) bool {
 	slices.Sort(members)
 	rep := members[0]
-	s.merged = true
 
-	// Union of the members' current sets, and the ids it contains.
+	// Union of the members' current sets, and what it makes visible.
 	union := s.takeBits()
+	size, facts, cells := 0, 0, 0
 	for _, m := range members {
 		union.UnionInPlace(&s.pts[m])
+		w := s.classSize(m)
+		size += w
+		if n := s.pts[m].Len(); n > 0 {
+			facts += n * w
+			cells += w
+		}
 	}
+	facts = union.Len()*size - facts
+	if union.Len() > 0 {
+		cells = size - cells
+	}
+	lim := s.opts.Limits
+	if lim.MaxCells > 0 && s.ncells+cells > lim.MaxCells {
+		s.abort(StopMaxCells, lim.MaxCells, nil)
+	} else if lim.MaxFacts > 0 && s.nfacts+facts > lim.MaxFacts {
+		s.abort(StopMaxFacts, lim.MaxFacts, nil)
+	}
+	if s.stop != nil {
+		s.recycleBits(union)
+		return false
+	}
+	s.nfacts += facts
+	s.ncells += cells
+	s.merged = true
+	s.size[rep] = int32(size)
 	uids := union.AppendTo(s.getScratch())
 
 	// Snapshot per-member obligations before mutating any structure. The
@@ -466,7 +505,6 @@ func (s *solver) mergeCells(members []CellID) {
 		s.recycleBits(old)
 	}
 	if wasEmpty && union.Len() > 0 {
-		s.ncells++
 		s.recordFactObj(rep)
 	}
 	for _, m := range members {
@@ -479,12 +517,19 @@ func (s *solver) mergeCells(members []CellID) {
 		s.exactOut[m] = nil
 	}
 
+	if lim.MaxFacts > 0 && s.nfacts >= lim.MaxFacts {
+		s.abort(StopMaxFacts, lim.MaxFacts, nil)
+	}
+
 	// Deliveries: push each member's outstanding facts through its own
 	// pre-merge consumers. Facts derived reentrantly by the fired rules
 	// land in the representative's delta and are drained — once, to the
 	// combined watcher list — by the normal wave schedule.
 	needBits := s.takeBits()
 	for _, p := range pendings {
+		if s.stop != nil {
+			break
+		}
 		if len(p.need) == 0 {
 			continue
 		}
@@ -509,4 +554,5 @@ func (s *solver) mergeCells(members []CellID) {
 	}
 	s.recycleBits(needBits)
 	s.putScratch(uids)
+	return true
 }

@@ -3,7 +3,8 @@ package core_test
 // Tests for the constraint-graph layer (congraph.go): online cycle
 // elimination must be observable only through WaveStats — fact dumps,
 // TotalFacts, AvgDerefSetSize and the Figure-3 counters stay byte-identical
-// to both the NoCycleElim ablation and the map-based reference solver.
+// to the map-based reference solver, and resource limits keep meaning what
+// they say when cells merge.
 
 import (
 	"context"
@@ -14,7 +15,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
+	"repro/internal/frontend"
 	"repro/internal/ir"
+	"repro/internal/metrics"
 )
 
 // mutualSrc builds two pointer variables copied into each other — the
@@ -52,23 +56,6 @@ func targets(t *testing.T, res *core.Result, prog *ir.Program, name string) stri
 	}
 	sort.Strings(names)
 	return "{" + strings.Join(names, ", ") + "}"
-}
-
-// factDump renders a result as the canonical sorted fact listing.
-func waveFactDump(res *core.Result) string {
-	var sb strings.Builder
-	for _, c := range res.SortedCells() {
-		sb.WriteString(c.String())
-		sb.WriteString(" -> {")
-		for i, t := range res.PointsToCell(c).Sorted() {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(t.String())
-		}
-		sb.WriteString("}\n")
-	}
-	return sb.String()
 }
 
 // noPrep pins a solve to the online cycle layer: the offline prepass would
@@ -120,10 +107,10 @@ func TestCycleCollapseRing(t *testing.T) {
 	}
 }
 
-// The layer is an observable-preserving optimization: with and without it,
-// the dump, the fact count and the dereference metric are byte-identical,
-// and both agree with the map-based reference solver.
-func TestNoCycleElimAblationIdentical(t *testing.T) {
+// The layer is an observable-preserving optimization: the dump, the fact
+// count and the dereference metric agree with the map-based reference
+// solver.
+func TestCycleElimMatchesReference(t *testing.T) {
 	srcs := map[string]string{
 		"mutual": mutualSrc(),
 		"ring":   ringSrc(40),
@@ -133,73 +120,129 @@ func TestNoCycleElimAblationIdentical(t *testing.T) {
 		for name, strat := range exactStrategies() {
 			label := sname + "/" + name
 			on := core.AnalyzeWith(r.IR, strat, noPrep)
-			off := core.AnalyzeWith(r.IR, strat, core.Options{NoCycleElim: true, NoPrepass: true})
 			ref := core.AnalyzeReference(r.IR, strat, core.Options{})
-			if off.Wave.SCCsFound != 0 || off.Wave.CellsMerged != 0 || off.Wave.Waves != 0 {
-				t.Errorf("%s: ablation still collapsed: %+v", label, off.Wave)
-			}
 			if on.Wave.CellsMerged == 0 {
 				t.Errorf("%s: default run collapsed nothing", label)
 			}
-			dOn, dOff, dRef := waveFactDump(on), waveFactDump(off), waveFactDump(ref)
-			if dOn != dOff {
-				t.Errorf("%s: dump differs between cycle elim on/off\non:\n%s\noff:\n%s", label, dOn, dOff)
-			}
-			if dOn != dRef {
+			if dOn, dRef := denseFactDump(on), denseFactDump(ref); dOn != dRef {
 				t.Errorf("%s: dump differs from reference solver\ndense:\n%s\nref:\n%s", label, dOn, dRef)
 			}
-			if on.TotalFacts() != off.TotalFacts() || on.TotalFacts() != ref.TotalFacts() {
-				t.Errorf("%s: TotalFacts on=%d off=%d ref=%d",
-					label, on.TotalFacts(), off.TotalFacts(), ref.TotalFacts())
+			if on.TotalFacts() != ref.TotalFacts() {
+				t.Errorf("%s: TotalFacts dense=%d ref=%d", label, on.TotalFacts(), ref.TotalFacts())
 			}
-			if on.AvgDerefSetSize() != off.AvgDerefSetSize() {
-				t.Errorf("%s: AvgDerefSetSize on=%v off=%v",
-					label, on.AvgDerefSetSize(), off.AvgDerefSetSize())
+			if on.AvgDerefSetSize() != ref.AvgDerefSetSize() {
+				t.Errorf("%s: AvgDerefSetSize dense=%v ref=%v",
+					label, on.AvgDerefSetSize(), ref.AvgDerefSetSize())
 			}
 		}
 	}
 }
 
 // The Offsets instance emits Size != 0 range edges, so it is excluded from
-// collapse by construction: its runs must never merge cells or run waves.
+// collapse by construction: its runs must never merge cells.
 func TestOffsetsExcludedFromCollapse(t *testing.T) {
 	r := loadIR(t, ringSrc(30), nil)
 	res := core.Analyze(r.IR, core.NewOffsets(r.Layout))
 	if res.Incomplete != nil {
 		t.Fatalf("incomplete: %v", res.Incomplete)
 	}
-	if res.Wave.SCCsFound != 0 || res.Wave.CellsMerged != 0 || res.Wave.Waves != 0 {
-		t.Errorf("offsets run used the wave scheduler: %+v", res.Wave)
+	if res.Wave.SCCsFound != 0 || res.Wave.CellsMerged != 0 {
+		t.Errorf("offsets run collapsed cells: %+v", res.Wave)
 	}
 }
 
-// Collapsing the ring must reduce batched edge traversals relative to the
-// classic schedule on the same program — the headline win of the layer.
+// Collapsing the ring must batch edge traversals: fewer batches cross the
+// condensed graph than the facts they carry — the headline win of the
+// layer.
 func TestWaveSchedulerSavesTraversals(t *testing.T) {
 	r := loadIR(t, ringSrc(100), nil)
-	strat := core.NewCollapseAlways()
-	on := core.AnalyzeWith(r.IR, strat, noPrep)
-	off := core.AnalyzeWith(r.IR, strat, core.Options{NoCycleElim: true, NoPrepass: true})
-	if on.Wave.EdgeBatches >= off.Wave.EdgeBatches {
-		t.Errorf("cycle elim did not reduce edge batches: on=%d off=%d",
-			on.Wave.EdgeBatches, off.Wave.EdgeBatches)
+	on := core.AnalyzeWith(r.IR, core.NewCollapseAlways(), noPrep)
+	if on.Wave.EdgeBatches >= on.Wave.FactCrossings {
+		t.Errorf("cycle elim did not batch traversals: batches=%d crossings=%d",
+			on.Wave.EdgeBatches, on.Wave.FactCrossings)
 	}
 	if on.Wave.TraversalsSaved() == 0 {
 		t.Errorf("no traversals saved on a 100-ring: %+v", on.Wave)
 	}
 }
 
-// Limits force the classic per-cell schedule: per-fact trip accounting is
-// defined against it, so wave runs must not engage when any limit is set.
-func TestLimitsDisableWaves(t *testing.T) {
-	r := loadIR(t, ringSrc(60), nil)
-	res := core.AnalyzeWith(r.IR, core.NewCIS(),
-		core.Options{Limits: core.Limits{MaxSteps: 1 << 20}})
-	if res.Incomplete != nil {
-		t.Fatalf("incomplete under a generous limit: %v", res.Incomplete)
+// Limits leave the schedule alone: a run under limits that never trip
+// drains, merges and counts exactly like the unlimited run. The unlimited
+// side runs without the prepass, which stays off under Limits.
+func TestLimitsKeepWaves(t *testing.T) {
+	huge := core.Options{Limits: core.Limits{MaxSteps: 1 << 30, MaxFacts: 1 << 30, MaxCells: 1 << 30}}
+	progs := map[string]*frontend.Result{"ring60": loadIR(t, ringSrc(60), nil)}
+	names := corpus.SortedByGroup()
+	if testing.Short() {
+		names = names[:4]
 	}
-	if res.Wave.CellsMerged != 0 || res.Wave.Waves != 0 {
-		t.Errorf("limited run engaged the wave scheduler: %+v", res.Wave)
+	for _, name := range names {
+		src, err := corpus.Source(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if progs[name], err = frontend.Load(src, frontend.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pname, res := range progs {
+		for _, sname := range metrics.StrategyNames {
+			if sname == "offsets" {
+				continue
+			}
+			limStrat := metrics.NewStrategy(sname, res.Layout)
+			lim := core.AnalyzeWith(res.IR, limStrat, huge)
+			freeStrat := metrics.NewStrategy(sname, res.Layout)
+			free := core.AnalyzeWith(res.IR, freeStrat, noPrep)
+			label := pname + "/" + sname
+			if lim.Incomplete != nil || free.Incomplete != nil {
+				t.Fatalf("%s: incomplete: limited=%v unlimited=%v", label, lim.Incomplete, free.Incomplete)
+			}
+			if d1, d2 := denseFactDump(lim), denseFactDump(free); d1 != d2 {
+				t.Errorf("%s: dump differs under limits:\n--- limited ---\n%s--- unlimited ---\n%s", label, d1, d2)
+			}
+			if r1, r2 := recorderLine(limStrat.Recorder()), recorderLine(freeStrat.Recorder()); r1 != r2 {
+				t.Errorf("%s: Figure-3 counters limited(%s) unlimited(%s)", label, r1, r2)
+			}
+			if lim.Steps != free.Steps || lim.Wave != free.Wave {
+				t.Errorf("%s: schedule differs under limits: steps %d vs %d, waves %+v vs %+v",
+					label, lim.Steps, free.Steps, lim.Wave, free.Wave)
+			}
+		}
+	}
+}
+
+// Every MaxFacts bound holds, cycle merges included: the run shows at most
+// MaxFacts facts, all of them in the fixpoint; every bound up to the full
+// count stops the run, and a bound above it lets the run complete. The ring
+// trips inside merged cycles; the copy chain delivers its facts through
+// batched edge propagation.
+func TestMaxFactsSweep(t *testing.T) {
+	for sname, src := range map[string]string{"ring": ringSrc(100), "chain": chainSrc(12)} {
+		r := loadIR(t, src, nil)
+		for name, strat := range strategies(r.Layout) {
+			label := sname + "/" + name
+			full := core.Analyze(r.IR, strat)
+			n := full.TotalFacts()
+			for limit := 1; limit <= n+1; limit++ {
+				res := core.AnalyzeWith(r.IR, strategies(r.Layout)[name],
+					core.Options{Limits: core.Limits{MaxFacts: limit}})
+				if got := res.TotalFacts(); got > limit {
+					t.Fatalf("%s (MaxFacts=%d): %d facts recorded", label, limit, got)
+				}
+				if (res.Incomplete == nil) != (limit > n) {
+					t.Fatalf("%s (MaxFacts=%d, full count %d): incomplete = %v", label, limit, n, res.Incomplete)
+				}
+				res.Cells(func(c core.Cell, set core.CellSet) {
+					fullSet := full.PointsToCell(c)
+					for tgt := range set {
+						if !fullSet.Has(tgt) {
+							t.Fatalf("%s (MaxFacts=%d): partial fact %s -> %s not in fixpoint", label, limit, c, tgt)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -258,6 +301,34 @@ func TestWaveCancellationSoundPartial(t *testing.T) {
 	}
 }
 
+// Stop.Facts and Stop.Cells reach clients (the /v1/analyze stop object), so
+// they must describe the partial Result they come with: a member merged
+// into a cycle shows its representative's set, and counts that way.
+func TestStopCountsMatchResult(t *testing.T) {
+	r := loadIR(t, ringSrc(120), nil)
+	for oname, opts := range map[string]core.Options{"default": {}, "noprep": noPrep} {
+		for name := range exactStrategies() {
+			stopped := false
+			for polls := 1; polls <= 6; polls++ {
+				ctx := &countdownCtx{Context: context.Background(), polls: polls}
+				res := core.AnalyzeContext(ctx, r.IR, exactStrategies()[name], opts)
+				stop := res.Incomplete
+				if stop == nil {
+					continue
+				}
+				stopped = true
+				if stop.Facts != res.TotalFacts() || stop.Cells != len(res.SortedCells()) {
+					t.Errorf("%s/%s (polls=%d): stop reports %d facts in %d cells, result shows %d in %d",
+						oname, name, polls, stop.Facts, stop.Cells, res.TotalFacts(), len(res.SortedCells()))
+				}
+			}
+			if !stopped {
+				t.Errorf("%s/%s: no countdown stopped the run", oname, name)
+			}
+		}
+	}
+}
+
 // Exercising cascading merges: several disjoint cycles bridged by chains, so
 // a detection pass collapses multiple SCCs in one sweep and the compacted
 // adjacency stays correct.
@@ -289,7 +360,7 @@ func TestMultipleSCCs(t *testing.T) {
 		if res.Wave.SCCsFound < 3 {
 			t.Errorf("%s: found %d SCCs, want >= 3", name, res.Wave.SCCsFound)
 		}
-		if d, rd := waveFactDump(res), waveFactDump(ref); d != rd {
+		if d, rd := denseFactDump(res), denseFactDump(ref); d != rd {
 			t.Errorf("%s: dump differs from reference\ndense:\n%s\nref:\n%s", name, d, rd)
 		}
 		// The last block sees every upstream seed.

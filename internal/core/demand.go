@@ -54,10 +54,11 @@ import (
 //
 // The engine memoizes across queries: demanded objects, activated
 // statements, and all derived facts persist, so a later query pays only for
-// the part of its slice the earlier queries have not already explored. Wave
-// scheduling and cycle elimination stay off (find() is the identity) — the
-// slice is expected to be small, and merging would complicate the
-// invariants for no measured gain.
+// the part of its slice the earlier queries have not already explored. Each
+// pump drains through the solver's wave loop with cycle elimination off
+// (find() is the identity), so every wave is a residual pass over the dirty
+// cells in id order — the slice is expected to be small, and merging would
+// complicate the invariants for no measured gain.
 
 // ErrDemandBudget reports that a query's slice exceeded the engine's
 // activation budget; the caller should fall back to the exhaustive solver.
@@ -131,10 +132,11 @@ func NewDemand(prog *ir.Program, strat Strategy, opts Options, budget int) *Dema
 	opts.UseUnknown = false
 	opts.Limits = Limits{}
 	s := newSolver(context.Background(), prog, strat, opts)
-	s.waves = false
 	// The prepass models the full static graph, but a demand solver only
-	// materializes the demanded slice of it; the interner's epochs hang off
-	// wave barriers, which the demand pump never reaches. Disable both.
+	// materializes the demanded slice of it; the slice is small, and
+	// merging across pumps would complicate the memoized invariants.
+	// Disable cycle elimination, the prepass and the interner.
+	s.cycleElim = false
 	s.prep, s.intern = nil, nil
 	d := &Demand{
 		s:           s,
@@ -435,7 +437,7 @@ func (d *Demand) pump(ctx context.Context) error {
 				return err
 			}
 		}
-		s.runLoop()
+		s.runWaves()
 		if s.stop != nil {
 			// Cancellation freezes the solver permanently (addFact refuses
 			// new facts); the worklist state cannot be resumed soundly.

@@ -4,11 +4,13 @@ package core
 // arbitrary programs in the paper's five normalized statement forms. The
 // statements are decoded from the fuzz input over a fixed typed universe
 // (two overlapping structs, scalar pointers, a double pointer), so every
-// generated program respects the IR's invariants — any panic or hang the
-// fuzzer finds is a real solver bug, not a malformed-program artifact.
+// generated program respects the IR's invariants — any panic, hang or
+// disagreement with the reference solver the fuzzer finds is a real solver
+// bug, not a malformed-program artifact.
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,9 +112,27 @@ func decodeProgram(f *fuzzUniverse, data []byte) *ir.Program {
 	return prog
 }
 
-// FuzzSolve checks that the solver terminates without panicking on every
-// well-formed five-form program, under all four strategies, and that a
-// governed run reports a valid Stop when it trips its bounds.
+// fuzzDump renders a result as its sorted fact listing.
+func fuzzDump(r *Result) string {
+	var b strings.Builder
+	for _, c := range r.SortedCells() {
+		b.WriteString(c.String())
+		b.WriteString(" ->")
+		for _, t := range r.PointsToCell(c).Sorted() {
+			b.WriteString(" ")
+			b.WriteString(t.String())
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// FuzzSolve checks, on every well-formed five-form program and under all
+// four strategies, that the solver terminates without panicking; that a
+// governed run reports a valid Stop when it trips its bounds and otherwise
+// matches the reference solver fact for fact; and that a tight MaxFacts
+// bound (the input's last byte picks it) holds, with a Stop that counts the
+// facts the partial result shows.
 func FuzzSolve(f *testing.F) {
 	// Seeds: each op solo, a mixed program, and adversarial repetition.
 	f.Add([]byte{0, 2, 0, 0, 3, 2, 0, 0}) // p=&x; *p=x (addrof+store)
@@ -124,6 +144,22 @@ func FuzzSolve(f *testing.F) {
 		ring = append(ring, 2, byte(2+i%3), byte(2+(i+1)%3), 0)
 	}
 	f.Add(ring)
+	// A three-cell copy cycle p -> q -> ps -> p whose members hold
+	// different sets when detection merges them; pt's AddrField then adds
+	// q = &pt->t1 to the merged class. The trailing byte sets MaxFacts 6,
+	// which the merge would cross, then MaxFacts 8, which the merge fits
+	// and the later three-member fact would cross.
+	cycle := []byte{
+		1, 3, 8, 1, // q = &pt->t1
+		0, 8, 6, 0, // pt = &t
+		0, 2, 0, 0, // p = &x
+		2, 3, 2, 0, // q = p
+		2, 7, 3, 0, // ps = q
+		2, 2, 7, 0, // p = ps
+		0, 3, 1, 0, // q = &y
+	}
+	f.Add(append(append([]byte(nil), cycle...), 5))
+	f.Add(append(append([]byte(nil), cycle...), 7))
 
 	univ := newFuzzUniverse()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -134,10 +170,15 @@ func FuzzSolve(f *testing.F) {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		opts := Options{Limits: Limits{MaxSteps: 10000, MaxFacts: 100000}}
-		for _, strat := range []Strategy{
-			NewCIS(), NewCollapseAlways(), NewCollapseOnCast(), NewOffsets(univ.lay),
+		maxFacts := 1 + int(data[len(data)-1])%64
+		tight := Options{Limits: Limits{MaxFacts: maxFacts}}
+		for _, mk := range []func() Strategy{
+			func() Strategy { return NewCIS() },
+			func() Strategy { return NewCollapseAlways() },
+			func() Strategy { return NewCollapseOnCast() },
+			func() Strategy { return NewOffsets(univ.lay) },
 		} {
-			r := AnalyzeContext(ctx, prog, strat, opts)
+			r := AnalyzeContext(ctx, prog, mk(), opts)
 			if r == nil {
 				t.Fatal("AnalyzeContext returned nil")
 			}
@@ -147,6 +188,18 @@ func FuzzSolve(f *testing.F) {
 				default:
 					t.Fatalf("invalid stop reason %q", r.Incomplete.Reason)
 				}
+			} else if got, want := fuzzDump(r), fuzzDump(AnalyzeReference(prog, mk(), Options{})); got != want {
+				t.Fatalf("%s: governed run differs from the reference:\n--- dense ---\n%s--- reference ---\n%s",
+					r.Strategy.Name(), got, want)
+			}
+
+			lim := AnalyzeContext(ctx, prog, mk(), tight)
+			if n := lim.TotalFacts(); n > maxFacts {
+				t.Fatalf("%s: %d facts under MaxFacts %d", lim.Strategy.Name(), n, maxFacts)
+			}
+			if stop := lim.Incomplete; stop != nil && stop.Facts != lim.TotalFacts() {
+				t.Fatalf("%s: stop reports %d facts, result shows %d",
+					lim.Strategy.Name(), stop.Facts, lim.TotalFacts())
 			}
 		}
 	})

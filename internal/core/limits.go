@@ -16,9 +16,12 @@ import (
 type Limits struct {
 	// MaxSteps bounds worklist drains (cells popped from the worklist).
 	MaxSteps int
-	// MaxFacts bounds the total number of points-to edges.
+	// MaxFacts bounds the total number of points-to edges, counted as
+	// Result.TotalFacts counts them: a cell merged into a cycle's
+	// representative counts the representative's set.
 	MaxFacts int
-	// MaxCells bounds the number of distinct cells holding facts.
+	// MaxCells bounds the number of distinct cells holding facts, counted
+	// the same way.
 	MaxCells int
 }
 
@@ -38,8 +41,8 @@ const (
 type Stop struct {
 	Reason StopReason
 	Steps  int   // worklist drains performed
-	Facts  int   // points-to edges recorded
-	Cells  int   // distinct cells holding facts
+	Facts  int   // points-to edges the partial Result shows (TotalFacts)
+	Cells  int   // cells with a non-empty set in the partial Result
 	Limit  int   // the limit value that tripped; 0 for cancellation
 	Err    error // the context's error for canceled/deadline stops
 }

@@ -322,10 +322,7 @@ func (s *solver) runPrepass() {
 	// Merge every multi-member class through the shared protocol. The
 	// union-find forest is grown here exactly as detectCycles grows it, so
 	// a later online pass sees a consistent parent/rank table.
-	for i := len(s.parent); i < n; i++ {
-		s.parent = append(s.parent, CellID(i))
-		s.rank = append(s.rank, -1)
-	}
+	s.growForest(n)
 	for _, members := range classes {
 		if len(members) < 2 {
 			continue
@@ -333,8 +330,9 @@ func (s *solver) runPrepass() {
 		if s.stop != nil {
 			return
 		}
-		s.stats.PrepClasses++
-		s.stats.PrepCollapsed += len(members) - 1
-		s.mergeCells(members)
+		if s.mergeCells(members) {
+			s.stats.PrepClasses++
+			s.stats.PrepCollapsed += len(members) - 1
+		}
 	}
 }

@@ -201,13 +201,6 @@ type Options struct {
 	// the Limits type for partial-result semantics when a bound trips.
 	Limits Limits
 
-	// NoCycleElim disables online cycle elimination and the topological
-	// wave scheduler, falling back to the classic per-cell LIFO worklist.
-	// Results are identical either way (the constraint-graph layer is an
-	// observable-preserving optimization); provided as an ablation and a
-	// kill switch.
-	NoCycleElim bool
-
 	// UseUnknown implements the alternative §4.2.1 sketches before
 	// adopting Assumption 1: pointer-arithmetic results additionally
 	// carry a special Unknown value representing a possibly corrupted
@@ -223,14 +216,13 @@ type Options struct {
 	// Both are observable-preserving optimizations — facts and Figure-3
 	// counters are byte-identical either way — so the switch is an
 	// ablation and a kill switch, excluded from cache keys and graph
-	// identity. Like the wave layer, the pair engages only for
-	// exact-edge strategies with zero Limits, and never under
-	// UseUnknown or an incremental resume.
+	// identity. The pair engages only for exact-edge strategies with
+	// zero Limits, and never under UseUnknown or an incremental resume.
 	NoPrepass bool
 
-	// TrackPeakMem samples runtime.ReadMemStats at wave barriers (and on
-	// a coarse cadence in the classic worklist) and records the highest
-	// observed live-heap size in WaveStats.PeakLiveBytes. Off by default:
+	// TrackPeakMem samples runtime.ReadMemStats at wave barriers and
+	// records the highest observed live-heap size in
+	// WaveStats.PeakLiveBytes. Off by default:
 	// each sample is a stop-the-world sweep, so the knob is for
 	// benchmarking (ptrbench -peak-mem), not production solves. The
 	// sampled value is machine- and GC-schedule-dependent and is never
@@ -398,7 +390,7 @@ func (s *solver) restoreEdge(e Edge) {
 		if cap(s.exactOut[src]) == 0 {
 			s.exactOut[src] = s.arenaIDs(2)
 		}
-		if s.waves {
+		if s.cycleElim {
 			s.edgesSinceSCC++
 			if len(s.exactOut[src]) == 0 {
 				s.exactSrcs = append(s.exactSrcs, src)
@@ -450,7 +442,6 @@ func newSolver(ctx context.Context, prog *ir.Program, strat Strategy, opts Optio
 	nobj := len(prog.Objects)
 	s := &solver{
 		ctx:       ctx,
-		limits:    opts.Limits,
 		prog:      prog,
 		strat:     strat,
 		opts:      opts,
@@ -467,19 +458,15 @@ func newSolver(ctx context.Context, prog *ir.Program, strat Strategy, opts Optio
 	if ee, ok := strat.(exactEdger); ok {
 		s.exact = ee.exactEdges()
 	}
-	// Wave scheduling + online cycle elimination: exact-edge strategies
-	// only (range edges are excluded from collapse by construction), and
-	// only without fact/cell limits — merging equalizes whole sets at
-	// once, which the per-fact trip accounting of MaxFacts/MaxCells (and
-	// the step accounting of MaxSteps) is defined against.
-	s.waves = s.exact && !opts.NoCycleElim && opts.Limits == (Limits{})
-	// Offline prepass + set interner: exact edges and zero limits for the
-	// same reasons as the wave layer (signatures are defined over the
-	// static exact-edge graph; merging equalizes sets wholesale), no
-	// UseUnknown (the unknown object's facts are injected per rule firing,
-	// outside the static signature model), and a sequential trace. The
-	// pair is independent of NoCycleElim: merges ride the same union-find
-	// whether or not the wave scheduler runs.
+	// Online cycle elimination: exact-edge strategies only (range edges
+	// are excluded from collapse by construction).
+	s.cycleElim = s.exact
+	// Offline prepass + set interner: exact edges (signatures are defined
+	// over the static exact-edge graph), zero limits (the prepass collapses
+	// whole chains before the first drain, so a MaxSteps bound would no
+	// longer measure the propagation it was set against), no UseUnknown
+	// (the unknown object's facts are injected per rule firing, outside the
+	// static signature model), and a sequential trace.
 	if s.exact && !opts.NoPrepass && opts.Limits == (Limits{}) && !opts.UseUnknown && traceCell == "" {
 		s.prep = &prepState{}
 		s.intern = newBitsIntern()
@@ -560,15 +547,16 @@ type solver struct {
 	opts  Options
 
 	// Resource governance: the fixpoint polls ctx every cancelCheckEvery
-	// drains and compares counters against limits as facts are added.
+	// drains and compares counters against opts.Limits as facts are added.
 	// When either trips, stop is set and addFact freezes — no new facts
 	// or worklist entries — so the run winds down with the partial (but
-	// individually sound) fact set it had.
+	// individually sound) fact set it had. nfacts and ncells count what
+	// the Result will show: a merged member observes its representative's
+	// set, so every fact and cell is charged once per class member.
 	ctx    context.Context
-	limits Limits
 	steps  int   // worklist drains performed
-	nfacts int   // points-to edges recorded
-	ncells int   // distinct cells holding facts (non-empty pts sets)
+	nfacts int   // points-to edges visible through Result
+	ncells int   // cells with a non-empty visible set
 	stop   *Stop // non-nil once the run is aborted
 
 	unknown *ir.Object // non-nil under Options.UseUnknown
@@ -619,15 +607,16 @@ type solver struct {
 	prep   *prepState
 	intern *bitsIntern
 
-	// Constraint-graph layer (congraph.go). waves gates the whole layer:
-	// it is on for exact-edge strategies running without fact/cell limits
-	// (merging equalizes sets wholesale, which per-fact limit accounting
-	// cannot attribute). parent is the union-find forest, rank the last
-	// Tarjan pass's topological order, redundant the evidence counter
-	// that re-arms detection, merged whether any SCC collapsed.
-	waves         bool
+	// Constraint-graph layer (congraph.go). cycleElim gates online SCC
+	// detection: it is on for exact-edge strategies outside the demand
+	// engine. parent is the union-find forest, size each representative's
+	// class size, rank the last Tarjan pass's topological order, redundant
+	// the evidence counter that re-arms detection, merged whether any
+	// cells collapsed.
+	cycleElim     bool
 	merged        bool
 	parent        []CellID
+	size          []int32
 	rank          []int32
 	redundant     int
 	edgesSinceSCC int // exact edges added since the last detection pass
@@ -788,42 +777,27 @@ func (s *solver) run() {
 		s.runPrepass()
 	}
 	s.samplePeak()
-	if s.waves {
-		// Topological wave scheduling with online cycle elimination
-		// (congraph.go); observables are identical to the classic loop.
-		s.runWaves()
-		return
-	}
-	s.runLoop()
+	s.runWaves()
 }
 
-// runLoop is the classic per-cell LIFO fixpoint over cell deltas. It is the
-// schedule used without wave mode, and the propagation phase the demand
-// engine alternates with slice expansion.
-func (s *solver) runLoop() {
-	for len(s.dirty) > 0 {
-		if s.stop != nil {
-			return
-		}
-		if s.limits.MaxSteps > 0 && s.steps >= s.limits.MaxSteps {
-			s.abort(StopMaxSteps, s.limits.MaxSteps, nil)
-			return
-		}
-		if s.steps%cancelCheckEvery == 0 {
-			if s.checkCtx(); s.stop != nil {
-				return
-			}
-		}
-		if s.opts.TrackPeakMem && s.steps%peakSampleEvery == 0 {
-			// No wave barriers in the classic loop: sample on a coarse
-			// drain cadence instead.
-			s.samplePeak()
-		}
-		s.steps++
-		c := s.dirty[len(s.dirty)-1]
-		s.dirty = s.dirty[:len(s.dirty)-1]
-		s.drain(c)
+// step accounts for one worklist drain. It reports false, leaving the
+// drain undone, once the run is stopped: by an earlier abort, by MaxSteps,
+// or by the context poll every cancelCheckEvery drains.
+func (s *solver) step() bool {
+	if s.stop != nil {
+		return false
 	}
+	if max := s.opts.Limits.MaxSteps; max > 0 && s.steps >= max {
+		s.abort(StopMaxSteps, max, nil)
+		return false
+	}
+	if s.steps%cancelCheckEvery == 0 {
+		if s.checkCtx(); s.stop != nil {
+			return false
+		}
+	}
+	s.steps++
+	return true
 }
 
 // checkCtx polls the run's context and aborts on cancellation.
@@ -970,6 +944,11 @@ var traceCell = os.Getenv("PTRTRACE")
 // addFact records pointsTo(c, tgt) and schedules propagation of the delta.
 // Once the run is aborted the solver is frozen: no new facts, no new
 // worklist entries — the fact set stays exactly what had been derived.
+//
+// The fact becomes visible on every member of c's class, so it is charged
+// that many times against MaxFacts (and a first fact that many cells against
+// MaxCells). A charge that would cross a limit aborts before recording; a
+// charge that lands exactly on MaxFacts records the fact and then aborts.
 func (s *solver) addFact(c, tgt CellID) {
 	if s.stop != nil {
 		return
@@ -977,8 +956,16 @@ func (s *solver) addFact(c, tgt CellID) {
 	c = s.find(c)
 	set := &s.pts[c]
 	isNew := set.Len() == 0
-	if isNew && s.limits.MaxCells > 0 && s.ncells >= s.limits.MaxCells {
-		s.abort(StopMaxCells, s.limits.MaxCells, nil)
+	w := s.classSize(c)
+	lim := s.opts.Limits
+	if isNew && lim.MaxCells > 0 && s.ncells+w > lim.MaxCells {
+		s.abort(StopMaxCells, lim.MaxCells, nil)
+		return
+	}
+	if lim.MaxFacts > 0 && s.nfacts+w > lim.MaxFacts {
+		if !set.Has(tgt) {
+			s.abort(StopMaxFacts, lim.MaxFacts, nil)
+		}
 		return
 	}
 	if s.sharedSet(c) {
@@ -998,11 +985,11 @@ func (s *solver) addFact(c, tgt CellID) {
 		}
 	}
 	if isNew {
-		s.ncells++
+		s.ncells += w
 	}
-	s.nfacts++
-	if s.limits.MaxFacts > 0 && s.nfacts >= s.limits.MaxFacts {
-		s.abort(StopMaxFacts, s.limits.MaxFacts, nil)
+	s.nfacts += w
+	if lim.MaxFacts > 0 && s.nfacts >= lim.MaxFacts {
+		s.abort(StopMaxFacts, lim.MaxFacts, nil)
 		// The fact that tripped the limit stays recorded (it is sound);
 		// only propagation of it is skipped.
 		return
@@ -1030,16 +1017,19 @@ func (s *solver) recordFactObj(c CellID) {
 // mergeFrom unions src's points-to set into dst's, pushing exactly the new
 // facts, and reports how many were new (the cycle-detection trigger watches
 // for repeated zero-gain merges). It is the batch form of addFact used for
-// copy-edge propagation: with no fact/cell limits configured (the common
-// case) the union is a word-wise Bits merge with no per-fact work at all;
-// under limits it falls back to per-fact accounting so trip points match
-// addFact exactly.
+// copy-edge propagation: the union is a word-wise Bits merge with no
+// per-fact work at all. Only a batch that could reach MaxFacts or cross
+// MaxCells falls back to per-fact addFact, so the trip lands on the exact
+// fact that reaches the limit; any other batch leaves the same state either
+// way.
 func (s *solver) mergeFrom(dst CellID, src *Bits) int {
 	dst = s.find(dst)
 	if s.stop != nil || src.Len() == 0 || src == &s.pts[dst] {
 		return 0
 	}
-	if s.limits.MaxFacts > 0 || s.limits.MaxCells > 0 {
+	w, lim := s.classSize(dst), s.opts.Limits
+	if (lim.MaxFacts > 0 && s.nfacts+src.Len()*w >= lim.MaxFacts) ||
+		(lim.MaxCells > 0 && s.pts[dst].Len() == 0 && s.ncells+w > lim.MaxCells) {
 		before := s.pts[dst].Len()
 		buf := src.AppendTo(s.getScratch())
 		for _, tgt := range buf {
@@ -1069,10 +1059,10 @@ func (s *solver) mergeFrom(dst CellID, src *Bits) int {
 			}
 		}
 		if isNew {
-			s.ncells++
+			s.ncells += w
 			s.recordFactObj(dst)
 		}
-		s.nfacts += len(buf)
+		s.nfacts += len(buf) * w
 		d := &s.delta[dst]
 		if d.Len() == 0 {
 			s.dirty = append(s.dirty, dst)
@@ -1113,9 +1103,9 @@ func (s *solver) drain(c CellID) {
 		}
 	}
 	// Range/generic edges whose source object matches, filtered through
-	// the strategy's PropagateEdge. (Mutually exclusive with wave mode:
-	// exactEdger strategies never emit Size != 0 edges, so hasRange implies
-	// the identity find() and no merged cells.)
+	// the strategy's PropagateEdge. (Mutually exclusive with cycle
+	// elimination: exactEdger strategies never emit Size != 0 edges, so
+	// hasRange implies the identity find() and no merged cells.)
 	if s.hasRange {
 		cCell := s.table.Cell(c)
 		for _, e := range s.edgeIdx[cCell.Obj] {
@@ -1156,7 +1146,7 @@ func (s *solver) addEdge(e Edge) {
 		if cap(s.exactOut[rs]) == 0 {
 			s.exactOut[rs] = s.arenaIDs(2)
 		}
-		if s.waves {
+		if s.cycleElim {
 			s.edgesSinceSCC++
 			if len(s.exactOut[rs]) == 0 {
 				s.exactSrcs = append(s.exactSrcs, rs)

@@ -96,10 +96,9 @@ type RunJSON struct {
 	ResolveCacheHits   int `json:"resolve_cache_hits,omitempty"`
 	ResolveCacheMisses int `json:"resolve_cache_misses,omitempty"`
 
-	// Constraint-graph layer counters. SCCs/cells/waves are zero unless
-	// online cycle elimination engaged; edge_batches and fact_crossings are
-	// counted for every dense run, so an ablation run (NoCycleElim) shows
-	// the naive schedule's traversal cost for comparison.
+	// Constraint-graph layer counters. SCCs/cells are zero unless online
+	// cycle elimination merged cells; waves, edge_batches and
+	// fact_crossings are counted for every dense run, Offsets included.
 	SCCsFound       int `json:"sccs_found,omitempty"`
 	CellsMerged     int `json:"cells_merged,omitempty"`
 	Waves           int `json:"waves,omitempty"`

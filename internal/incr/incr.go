@@ -62,8 +62,6 @@ type Config struct {
 	NoLibSummaries     bool `json:"no_lib_summaries,omitempty"`
 	CloneAllocWrappers bool `json:"clone_alloc_wrappers,omitempty"`
 	NoPtrArithSmear    bool `json:"no_ptr_arith_smear,omitempty"`
-	NoMemoization      bool `json:"no_memoization,omitempty"`
-	NoCycleElim        bool `json:"no_cycle_elim,omitempty"`
 }
 
 // Resolved returns the config with the default strategy/ABI names filled
@@ -106,10 +104,7 @@ func (c Config) frontend() (frontend.Options, error) {
 // coreOptions maps the config onto solver options. Limits stay zero: the
 // incremental path only handles complete solves.
 func (c Config) coreOptions() core.Options {
-	return core.Options{
-		NoPtrArithSmear: c.NoPtrArithSmear,
-		NoCycleElim:     c.NoCycleElim,
-	}
+	return core.Options{NoPtrArithSmear: c.NoPtrArithSmear}
 }
 
 // strategy builds a fresh instance for the config over the given layout
@@ -118,9 +113,6 @@ func (c Config) strategy(lay *layout.Engine) (core.Strategy, error) {
 	s := metrics.NewStrategy(c.withDefaults().Strategy, lay)
 	if s == nil {
 		return nil, fmt.Errorf("incr: unknown strategy %q", c.Strategy)
-	}
-	if c.NoMemoization {
-		core.SetMemoization(s, false)
 	}
 	return s, nil
 }

@@ -112,7 +112,7 @@ func MeasureDemandContext(ctx context.Context, name string, sources []frontend.S
 		if opts.NoMemo {
 			core.SetMemoization(strat, false)
 		}
-		return core.NewDemand(res.IR, strat, core.Options{NoCycleElim: opts.NoCycleElim}, 0)
+		return core.NewDemand(res.IR, strat, core.Options{}, 0)
 	}
 
 	var out []*DemandMeasurement
@@ -149,7 +149,7 @@ func MeasureDemandContext(ctx context.Context, name string, sources []frontend.S
 				core.SetMemoization(strat, false)
 			}
 			full := core.AnalyzeContext(ctx, res.IR, strat,
-				core.Options{Limits: opts.Limits, NoCycleElim: opts.NoCycleElim})
+				core.Options{Limits: opts.Limits})
 			if full.Incomplete != nil {
 				return nil, fmt.Errorf("%s/%s: %w", name, sn, full.Incomplete.AsError())
 			}

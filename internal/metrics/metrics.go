@@ -158,10 +158,6 @@ type Options struct {
 	// NoMemo disables the strategies' lookup/resolve memoization
 	// (ablation; results are identical, only speed changes).
 	NoMemo bool
-	// NoCycleElim disables the dense solver's online cycle elimination and
-	// wave scheduling (ablation; results are identical, only the schedule
-	// and the constraint-graph counters change).
-	NoCycleElim bool
 	// NoPrepass disables the offline constraint-reduction prepass and the
 	// hash-consed set interner (ablation; results are identical, only the
 	// prep_*/intern_* counters and memory behavior change).
@@ -212,8 +208,8 @@ func MeasureContext(ctx context.Context, name string, sources []frontend.Source,
 				core.SetMemoization(strat, false)
 			}
 			r := core.AnalyzeContext(ctx, res.IR, strat,
-				core.Options{Limits: opts.Limits, NoCycleElim: opts.NoCycleElim,
-					NoPrepass: opts.NoPrepass, TrackPeakMem: opts.TrackPeakMem})
+				core.Options{Limits: opts.Limits, NoPrepass: opts.NoPrepass,
+					TrackPeakMem: opts.TrackPeakMem})
 			if r.Incomplete != nil {
 				return nil, fmt.Errorf("%s/%s: %w", name, sn, r.Incomplete.AsError())
 			}
@@ -326,8 +322,8 @@ func MeasureCorpusContext(ctx context.Context, specs []Spec, fopts frontend.Opti
 				core.SetMemoization(strat, false)
 			}
 			jobs[i] = core.BatchJob{Prog: loaded[pr.prog].IR, Strat: strat,
-				Opts: core.Options{Limits: opts.Limits, NoCycleElim: opts.NoCycleElim,
-					NoPrepass: opts.NoPrepass, TrackPeakMem: opts.TrackPeakMem}}
+				Opts: core.Options{Limits: opts.Limits, NoPrepass: opts.NoPrepass,
+					TrackPeakMem: opts.TrackPeakMem}}
 		}
 		results, errs := core.AnalyzeBatchContext(ctx, jobs, opts.Parallelism)
 		// Keep only the fastest repetition per pair (repetitions differ

@@ -195,8 +195,8 @@ func Summary(w io.Writer, progs []*metrics.Program) {
 // WaveStats renders the solver's constraint-graph counters: copy-edge SCCs
 // collapsed by online cycle elimination, cells merged, topological waves
 // run, and the batched vs per-fact edge traversal counts, per (program,
-// instance). The Offsets instance never engages the layer (its range edges
-// are excluded from collapse) and is omitted.
+// instance). The Offsets instance never collapses cells (its range edges
+// are excluded from cycle elimination) and is omitted.
 func WaveStats(w io.Writer, progs []*metrics.Program) {
 	fmt.Fprintln(w, "Solver constraint-graph stats: online cycle elimination + wave scheduling")
 	fmt.Fprintln(w, "(saved = per-fact edge crossings avoided by batched topological propagation)")

@@ -130,7 +130,7 @@ type SolverVarz struct {
 	// scheduling in the dense solver).
 	SCCsFound       int64 `json:"sccs_found"`       // copy-edge cycles collapsed
 	CellsMerged     int64 `json:"cells_merged"`     // cells folded into representatives
-	Waves           int64 `json:"waves"`            // topological passes run
+	Waves           int64 `json:"waves"`            // wave-loop passes run
 	TraversalsSaved int64 `json:"traversals_saved"` // edge traversals avoided vs per-fact schedule
 
 	// Offline-prepass and set-interner totals (constraint reduction before

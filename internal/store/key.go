@@ -25,9 +25,9 @@ const keyVersion = "ptrcache/1"
 // distinct programs. Limits are part of the key because a limit-tripped
 // report is a different (partial) value than the full fixpoint. Deliberately
 // excluded: Timeout (canceled runs are never cached), Config.Parallelism
-// (the AnalyzeAll batch pool size), NoMemoization, DemandBudget (none
-// changes the result, only how fast it arrives — a budget trip reroutes to
-// the same exhaustive fixpoint), and NoPrepass/TrackPeakMem (the offline
+// (the AnalyzeAll batch pool size), DemandBudget (neither changes the
+// result, only how fast it arrives — a budget trip reroutes to the same
+// exhaustive fixpoint), and NoPrepass/TrackPeakMem (the offline
 // constraint-reduction prepass and its hash-consed set pool are observable
 // only through SolverStats, so the ablation solves to the same facts it
 // would cache). The exclusion also means a warm session's key equals the limit-free
@@ -35,12 +35,11 @@ const keyVersion = "ptrcache/1"
 //
 // The incremental layer reuses these keys as graph-residency addresses: an
 // /v1/analyze response's key is what a later request passes as "base" to
-// resume from that solve's captured constraint graph. Graph identity is
-// narrower than key identity — NoMemoization and NoCycleElim participate in
-// a graph's captured config (incr.Config) even though they are excluded
-// here, and Limits/FlagMisuse configs never capture graphs at all — so the
-// server re-checks the captured config on every resume rather than trusting
-// the key alone.
+// resume from that solve's captured constraint graph. A graph's captured
+// config (incr.Config) carries only the key's result-changing options, and
+// Limits/FlagMisuse configs never capture graphs at all; the server still
+// re-checks the captured config on every resume rather than trusting the
+// key alone.
 func Key(sources []pointsto.Source, cfg pointsto.Config) string {
 	h := sha256.New()
 	io.WriteString(h, keyVersion)

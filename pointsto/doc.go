@@ -68,8 +68,8 @@
 //
 // A Graph's identity is the captured Config: Strategy, ABI and the
 // result-changing Options (ModelMainArgs, NoLibSummaries,
-// CloneAllocWrappers, NoPtrArithSmear, NoMemoization, NoCycleElim) must all
-// match for a resume; Timeout, Config.Parallelism and DemandBudget are
+// CloneAllocWrappers, NoPtrArithSmear) must all match for a resume;
+// Timeout, Config.Parallelism, DemandBudget, NoPrepass and TrackPeakMem are
 // excluded because they never change an answer. Configs with Limits or
 // FlagMisuse are not resumable at all (Config.Resumable reports this) and
 // always solve cold.

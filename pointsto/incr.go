@@ -11,10 +11,9 @@ package pointsto
 //
 // Graph identity: a graph is only valid for resuming configs equal to the
 // one it was captured under. Strategy, ABI, and the result-changing Options
-// (ModelMainArgs, NoLibSummaries, CloneAllocWrappers, NoPtrArithSmear,
-// NoMemoization, NoCycleElim) all participate in that identity; Timeout,
-// Config.Parallelism and DemandBudget do not (they never change an
-// answer).
+// (ModelMainArgs, NoLibSummaries, CloneAllocWrappers, NoPtrArithSmear) all
+// participate in that identity; Timeout, Config.Parallelism, DemandBudget,
+// NoPrepass and TrackPeakMem do not (they never change an answer).
 // Configs carrying Limits or FlagMisuse are not resumable at all — an
 // incomplete solve cannot be captured, and misuse records are a whole-run
 // observable the delta path cannot reproduce.
@@ -129,8 +128,6 @@ func incrConfig(cfg Config) (incr.Config, bool) {
 		NoLibSummaries:     cfg.Options.NoLibSummaries,
 		CloneAllocWrappers: cfg.Options.CloneAllocWrappers,
 		NoPtrArithSmear:    cfg.Options.NoPtrArithSmear,
-		NoMemoization:      cfg.Options.NoMemoization,
-		NoCycleElim:        cfg.Options.NoCycleElim,
 	}, true
 }
 

@@ -77,13 +77,6 @@ type Options struct {
 	// FlagMisuse additionally tracks possibly corrupted pointers and
 	// reports dereferences of them via Report.Misuses.
 	FlagMisuse bool
-	// NoMemoization disables the solver's lookup/resolve caches (results
-	// are identical; ablation only).
-	NoMemoization bool
-	// NoCycleElim disables online cycle elimination and topological wave
-	// scheduling in the dense solver, falling back to the classic
-	// per-fact worklist (results are identical; ablation only).
-	NoCycleElim bool
 	// NoPrepass disables the dense solver's offline constraint-reduction
 	// prepass and its hash-consed set interner (results are identical;
 	// ablation and kill switch only). It is excluded from
@@ -217,9 +210,6 @@ func AnalyzeAllContext(ctx context.Context, sources []Source, cfg Config, strate
 			Strat: newStrategy(s, layout.New(res.Layout.ABI())),
 			Opts:  coreOptions(cfg),
 		}
-		if cfg.Options.NoMemoization {
-			core.SetMemoization(jobs[i].Strat, false)
-		}
 	}
 	results, jobErrs := core.AnalyzeBatchContext(ctx, jobs, cfg.Parallelism)
 	reports = make([]*Report, len(results))
@@ -259,9 +249,6 @@ func load(sources []Source, cfg Config) (*frontend.Result, error) {
 
 func solve(ctx context.Context, res *frontend.Result, cfg Config) *Report {
 	strat := newStrategy(cfg.Strategy, res.Layout)
-	if cfg.Options.NoMemoization {
-		core.SetMemoization(strat, false)
-	}
 	result := core.AnalyzeContext(ctx, res.IR, strat, coreOptions(cfg))
 	return &Report{strategy: cfg.Strategy, res: res, result: result}
 }
@@ -270,7 +257,6 @@ func coreOptions(cfg Config) core.Options {
 	return core.Options{
 		NoPtrArithSmear: cfg.Options.NoPtrArithSmear,
 		UseUnknown:      cfg.Options.FlagMisuse,
-		NoCycleElim:     cfg.Options.NoCycleElim,
 		NoPrepass:       cfg.Options.NoPrepass,
 		TrackPeakMem:    cfg.Options.TrackPeakMem,
 		Limits:          cfg.Limits.core(),
@@ -421,7 +407,8 @@ type SolverStats struct {
 	SCCsFound int
 	// CellsMerged is the number of cells folded into a representative.
 	CellsMerged int
-	// Waves is the number of topological passes the scheduler ran.
+	// Waves is the number of passes the solver's wave loop ran, counting
+	// the residual-only rounds of Offsets solves.
 	Waves int
 	// EdgeBatches is the number of batched copy-edge traversals performed.
 	EdgeBatches int
