@@ -12,16 +12,19 @@ package repro
 // custom benchmark metrics (lookup-struct%, deref-size, facts).
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"repro/internal/cc/layout"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/export"
 	"repro/internal/frontend"
 	"repro/internal/ir"
 	"repro/internal/metrics"
 	"repro/internal/steens"
+	"repro/pointsto"
 )
 
 // loadProgram front-ends one corpus program once per benchmark.
@@ -350,6 +353,35 @@ func BenchmarkSolverRepresentation(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkSnapshotHub times the result/wire layer of one hub-and-chains
+// analyze: export.NewSnapshot over a solved report plus
+// export.WriteSnapshotChecked of the result, on the hub shape of the
+// end-to-end benchmark's hub_wide workload (perfbench) with a fixed seed.
+// Each iteration renders a freshly solved report (the solve runs with the
+// timer stopped), since a report caches its rendering. Run with -benchmem;
+// the snapshot-bytes metric is the checked container's size.
+func BenchmarkSnapshotHub(b *testing.B) {
+	hub := corpus.GenerateLarge(corpus.LargeParams{NChains: 24, ChainLen: 30, NTargets: 128, NFields: 4, CrossEvery: 16, Seed: 1})
+	src := make([]pointsto.Source, len(hub))
+	for i, s := range hub {
+		src[i] = pointsto.Source{Name: s.Name, Text: s.Text}
+	}
+	var buf bytes.Buffer
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rep, err := pointsto.Analyze(src, pointsto.Config{Strategy: pointsto.CIS})
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf.Reset()
+		b.StartTimer()
+		if err := export.WriteSnapshotChecked(&buf, export.NewSnapshot(rep, "")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "snapshot-bytes")
 }
 
 // BenchmarkRelated times the Steensgaard unification baseline against the

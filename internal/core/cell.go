@@ -6,8 +6,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/ir"
@@ -75,29 +76,39 @@ func (s CellSet) Has(c Cell) bool {
 // Len returns the number of cells.
 func (s CellSet) Len() int { return len(s) }
 
-// Sorted returns the cells in a stable display order.
+// Sorted returns the cells in a stable display order (see compareCells).
 func (s CellSet) Sorted() []Cell {
 	out := make([]Cell, 0, len(s))
 	for c := range s {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Obj != b.Obj {
-			if a.Obj.Name != b.Obj.Name {
-				return a.Obj.Name < b.Obj.Name
-			}
-			return a.Obj.ID < b.Obj.ID
-		}
-		if a.Off != b.Off {
-			return a.Off < b.Off
-		}
-		if a.Path != b.Path {
-			return a.Path < b.Path
-		}
-		return !a.ByOff && b.ByOff
-	})
+	slices.SortFunc(out, compareCells)
 	return out
+}
+
+// compareCells is the display order of cells: by object name, then object
+// ID, offset, field path, and the whole-object cell before its ByOff twin.
+// It is a total order on distinct cells, so every sort by it agrees.
+func compareCells(a, b Cell) int {
+	if a.Obj != b.Obj {
+		if c := strings.Compare(a.Obj.Name, b.Obj.Name); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Obj.ID, b.Obj.ID)
+	}
+	if c := cmp.Compare(a.Off, b.Off); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Path, b.Path); c != 0 {
+		return c
+	}
+	switch {
+	case a.ByOff == b.ByOff:
+		return 0
+	case !a.ByOff:
+		return -1
+	}
+	return 1
 }
 
 // Edge is a copy constraint produced by resolve: facts arriving at (a range

@@ -41,6 +41,9 @@ type Result struct {
 	matOnce sync.Once
 	pts     map[Cell]CellSet
 
+	renderOnce sync.Once
+	render     *Rendering
+
 	Duration time.Duration
 
 	// Steps counts worklist drains performed by the run.

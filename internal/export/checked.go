@@ -12,21 +12,29 @@ import (
 
 // The checked container is the crash-safe on-disk form of a Snapshot: a
 // one-line header naming the payload's exact length and SHA-256, followed
-// by the plain JSON wire form. A reader verifies both before decoding, so
-// a truncated write, a bit flip or a concatenated tail is detected as
-// corruption instead of being half-trusted — the contract the store's
+// by the payload. A reader verifies both before decoding, so a truncated
+// write, a bit flip or a concatenated tail is detected as corruption
+// instead of being half-trusted — the contract the store's
 // quarantine-and-continue warm restart depends on.
 //
-//	ptrsnap1 <64 hex sha256> <decimal payload bytes>\n
-//	{ ...Snapshot JSON... }
+//	ptrsnap2 <64 hex sha256> <decimal payload bytes>\n
+//	{ ...compact set-table JSON (see wire.go)... }
 //
-// Headerless files are decoded as legacy plain-JSON spills (pre-checksum
-// daemons wrote those): structural corruption is still caught by the JSON
-// decoder and the version check, but content corruption inside string
-// values is not. New writes always carry the header.
+// WriteSnapshotChecked writes only ptrsnap2. ReadSnapshotChecked also reads
+// the two older forms, so a daemon restarted onto an old spill directory
+// warm-starts from it: ptrsnap1 containers (the same header over the
+// plain-JSON Snapshot document) and headerless plain-JSON files from
+// pre-checksum daemons. For headerless files structural corruption is
+// still caught by the JSON decoder and the version check, but content
+// corruption inside string values is not.
 
-// checkedMagic opens every checked-container header line.
-const checkedMagic = "ptrsnap1"
+const (
+	// checkedMagic opens every container header line WriteSnapshotChecked
+	// writes.
+	checkedMagic = "ptrsnap2"
+	// checkedMagicV1 opens the header of older plain-JSON containers.
+	checkedMagicV1 = "ptrsnap1"
+)
 
 // ErrCorrupt tags a checked-container read that failed verification
 // (truncation, checksum mismatch, malformed header, undecodable payload or
@@ -42,21 +50,21 @@ func corruptf(format string, args ...any) error {
 }
 
 // WriteSnapshotChecked writes s in the checked container format: header
-// line, then the JSON payload the header vouches for.
+// line, then the ptrsnap2 payload the header vouches for.
 func WriteSnapshotChecked(w io.Writer, s *Snapshot) error {
-	var payload bytes.Buffer
-	if err := WriteSnapshot(&payload, s); err != nil {
+	payload, err := encodeV2(s)
+	if err != nil {
 		return err
 	}
-	sum := sha256.Sum256(payload.Bytes())
-	if _, err := fmt.Fprintf(w, "%s %s %d\n", checkedMagic, hex.EncodeToString(sum[:]), payload.Len()); err != nil {
+	sum := sha256.Sum256(payload)
+	if _, err := fmt.Fprintf(w, "%s %s %d\n", checkedMagic, hex.EncodeToString(sum[:]), len(payload)); err != nil {
 		return err
 	}
-	_, err := w.Write(payload.Bytes())
+	_, err = w.Write(payload)
 	return err
 }
 
-// ReadSnapshotChecked reads one snapshot from the checked container format,
+// ReadSnapshotChecked reads one snapshot from a checked container,
 // verifying length and digest before decoding. A headerless stream falls
 // back to the legacy plain-JSON decoder. Every verification failure is a
 // *CorruptError, so callers can distinguish "corrupt file" (quarantine it)
@@ -69,7 +77,8 @@ func ReadSnapshotChecked(r io.Reader) (*Snapshot, error) {
 		// enough to fit ("{}"), or garbage. Let the legacy path decide.
 		return readLegacy(br)
 	}
-	if string(peek[:len(checkedMagic)]) != checkedMagic || peek[len(checkedMagic)] != ' ' {
+	magic := string(peek[:len(checkedMagic)])
+	if (magic != checkedMagic && magic != checkedMagicV1) || peek[len(checkedMagic)] != ' ' {
 		return readLegacy(br)
 	}
 	header, err := br.ReadString('\n')
@@ -104,11 +113,16 @@ func ReadSnapshotChecked(r io.Reader) (*Snapshot, error) {
 	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], wantSum) {
 		return nil, corruptf("checksum mismatch")
 	}
-	snap, err := ReadSnapshot(bytes.NewReader(payload))
+	// The digest matched, so the bytes are exactly what was written — but
+	// a wrong version, a bad table (or a header glued onto a non-snapshot)
+	// is still not servable.
+	var snap *Snapshot
+	if magic == checkedMagic {
+		snap, err = decodeV2(payload)
+	} else {
+		snap, err = ReadSnapshot(bytes.NewReader(payload))
+	}
 	if err != nil {
-		// The digest matched, so the bytes are exactly what was written —
-		// but a wrong version (or a header glued onto a non-snapshot) is
-		// still not servable.
 		return nil, corruptf("%v", err)
 	}
 	return snap, nil

@@ -2,7 +2,11 @@ package export
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,20 +32,42 @@ func TestCheckedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckedLegacyFallback: a plain (headerless) JSON spill from a
-// pre-checksum daemon still decodes.
-func TestCheckedLegacyFallback(t *testing.T) {
-	snap := solveSnapshot(t, pointsto.Config{})
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, snap); err != nil {
+// readV1Golden returns the plain-JSON snapshot the pre-ptrsnap2 writer
+// produced for snapshotProgram under CIS (duration zeroed), kept unchanged
+// as the fixture for the legacy readers.
+func readV1Golden(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.json"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshotChecked(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy read: %v", err)
-	}
-	if !reflect.DeepEqual(snap, got) {
-		t.Errorf("legacy round trip changed the snapshot")
+	return data
+}
+
+// wrapChecked puts payload behind a valid checked-container header.
+func wrapChecked(magic string, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return append([]byte(fmt.Sprintf("%s %x %d\n", magic, sum, len(payload))), payload...)
+}
+
+// TestCheckedLegacyFallback: spills of older daemons still decode, to the
+// same snapshot a fresh NewSnapshot builds — a plain (headerless) JSON file
+// from a pre-checksum daemon, and a ptrsnap1 container.
+func TestCheckedLegacyFallback(t *testing.T) {
+	want := solveSnapshot(t, pointsto.Config{Strategy: pointsto.CIS})
+	want.DurationNS = 0
+	v1 := readV1Golden(t)
+	for name, data := range map[string][]byte{
+		"headerless": v1,
+		"ptrsnap1":   wrapChecked(checkedMagicV1, v1),
+	} {
+		got, err := ReadSnapshotChecked(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: legacy read: %v", name, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: legacy snapshot differs from a fresh one\nfresh:  %+v\ndecoded: %+v", name, want, got)
+		}
 	}
 }
 
@@ -90,6 +116,26 @@ func TestCheckedDetectsCorruption(t *testing.T) {
 			return w.Bytes()
 		},
 	}
+	// A valid checksum over a payload the ptrsnap2 decoder must refuse.
+	for name, payload := range map[string]string{
+		"negative-target-index":     `{"version":1,"targets":["a"],"sets":[[-1]],"vars":[["p",0]],"cells":[]}`,
+		"target-index-out-of-range": `{"version":1,"targets":["a"],"sets":[[1]],"vars":[["p",0]],"cells":[]}`,
+		"negative-set-index":        `{"version":1,"targets":["a"],"sets":[[0]],"vars":[["p",-1]],"cells":[]}`,
+		"set-index-out-of-range":    `{"version":1,"targets":["a"],"sets":[[0]],"vars":[["p",1]],"cells":[]}`,
+		"cell-set-out-of-range":     `{"version":1,"targets":["a"],"sets":[[0]],"vars":[],"cells":[["p",7]]}`,
+		"duplicate-var":             `{"version":1,"targets":["a"],"sets":[[0]],"vars":[["p",0],["p",0]],"cells":[]}`,
+		"unsorted-vars":             `{"version":1,"targets":["a"],"sets":[[0]],"vars":[["q",0],["p",0]],"cells":[]}`,
+		"short-pair":                `{"version":1,"targets":["a"],"sets":[[0]],"vars":[["p"]],"cells":[]}`,
+		"long-pair":                 `{"version":1,"targets":["a"],"sets":[[0]],"vars":[["p",0,0]],"cells":[]}`,
+		"null-pair":                 `{"version":1,"targets":["a"],"sets":[[0]],"vars":[null],"cells":[]}`,
+		"fractional-index":          `{"version":1,"targets":["a"],"sets":[[0.5]],"vars":[],"cells":[]}`,
+		"targets-not-strings":       `{"version":1,"targets":[1,2],"sets":[[0]],"vars":[],"cells":[]}`,
+		"sets-not-lists":            `{"version":1,"targets":["a"],"sets":{"0":[0]},"vars":[],"cells":[]}`,
+		"v2-wrong-version":          `{"version":2,"targets":[],"sets":[],"vars":[],"cells":[]}`,
+		"v2-not-json":               `ptrsnap2`,
+	} {
+		mutate["bad-table/"+name] = func([]byte) []byte { return wrapChecked(checkedMagic, []byte(payload)) }
+	}
 	for name, f := range mutate {
 		_, err := ReadSnapshotChecked(bytes.NewReader(f(valid)))
 		if err == nil {
@@ -112,14 +158,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	snap := NewSnapshot(rep, "")
-	var plain, checked bytes.Buffer
-	WriteSnapshot(&plain, snap)
+	var checked bytes.Buffer
 	WriteSnapshotChecked(&checked, snap)
-	f.Add(plain.Bytes())
+	v1 := readV1Golden(f)
+	f.Add(v1)
 	f.Add(checked.Bytes())
 	f.Add([]byte(checkedMagic + " 00 0\n"))
 	f.Add([]byte(`{"version":1,"vars":{"x":["y"]}}`))
 	f.Add([]byte{})
+	f.Add(wrapChecked(checkedMagicV1, v1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := ReadSnapshotChecked(bytes.NewReader(data))

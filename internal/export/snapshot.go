@@ -9,9 +9,11 @@ import (
 	"repro/pointsto"
 )
 
-// SnapshotVersion is the wire-format version of Snapshot. Readers reject
-// every other version, so a daemon restarted onto an incompatible spill
-// directory re-solves instead of serving garbage.
+// SnapshotVersion is the version of the Snapshot data model, carried in
+// every encoding of it (the ptrsnap2 payload and the legacy plain-JSON
+// form). Readers reject every other version, so a daemon restarted onto an
+// incompatible spill directory re-solves instead of serving garbage. The
+// byte layout is versioned separately, by the checked container's magic.
 const SnapshotVersion = 1
 
 // IncompleteJSON is the wire form of a partial-result marker: the reason a
@@ -30,6 +32,11 @@ type IncompleteJSON struct {
 // full cell-level sets, the summary counters and the incompleteness marker —
 // without retaining the IR or the solver state, so a cached program costs
 // only its strings.
+//
+// Target slices are shared: names and cells with equal points-to sets hold
+// the same slice, as the solver found them, and the ptrsnap2 container
+// keeps that sharing on disk. A Snapshot is therefore read-only once built;
+// copy a slice before modifying it.
 type Snapshot struct {
 	Version      int     `json:"version"`
 	Strategy     string  `json:"strategy"`
@@ -46,14 +53,21 @@ type Snapshot struct {
 	// Vars maps every queryable source-level name to its sorted points-to
 	// targets (empty slice for a name whose set is empty). The target
 	// strings are cell names; object names are uniquified by the front
-	// end, so string equality coincides with cell equality.
+	// end, so string equality coincides with cell equality. The slices are
+	// shared between names with equal sets and must not be modified.
 	Vars map[string][]string `json:"vars"`
-	// Sets is the cell-level dump (named, non-temporary cells only).
+	// Sets is the cell-level dump (named, non-temporary cells only). Its
+	// Targets slices are shared like Vars'.
 	Sets []PointsTo `json:"sets"`
 }
 
+// noTargets is the shared value of every empty Vars entry.
+var noTargets = []string{}
+
 // NewSnapshot captures a facade report into its wire form. abi names the
-// layout the report was produced under ("" means the lp64 default).
+// layout the report was produced under ("" means the lp64 default). The
+// snapshot shares the report's rendered target slices rather than copying
+// every fact.
 func NewSnapshot(r *pointsto.Report, abi string) *Snapshot {
 	if abi == "" {
 		abi = "lp64"
@@ -69,19 +83,15 @@ func NewSnapshot(r *pointsto.Report, abi string) *Snapshot {
 		DurationNS:   r.Duration().Nanoseconds(),
 		Vars:         make(map[string][]string),
 	}
-	for _, name := range r.Names() {
-		targets := r.PointsTo(name)
+	r.EachPointsTo(func(name string, targets []string) {
 		if targets == nil {
-			targets = []string{}
+			targets = noTargets
 		}
 		s.Vars[name] = targets
-	}
-	for _, set := range r.Sets() {
-		if len(set.Targets) == 0 {
-			continue
-		}
+	})
+	r.EachSet(func(set pointsto.Set) {
 		s.Sets = append(s.Sets, PointsTo{Cell: set.Cell, Targets: set.Targets})
-	}
+	})
 	if inc := r.Incomplete(); inc != nil {
 		s.Incomplete = &IncompleteJSON{
 			Reason: inc.Reason,
@@ -102,7 +112,8 @@ func (s *Snapshot) HasVar(name string) bool {
 }
 
 // PointsTo returns the sorted points-to targets of the named variable, nil
-// for an unknown name.
+// for an unknown name. The slice is shared with the snapshot and must not
+// be modified.
 func (s *Snapshot) PointsTo(name string) []string {
 	targets, ok := s.Vars[name]
 	if !ok || len(targets) == 0 {
@@ -133,33 +144,51 @@ func (s *Snapshot) MayAlias(a, b string) bool {
 
 // SizeBytes estimates the snapshot's retained memory (strings plus slice
 // and map overhead); the store's byte budget is accounted in these units.
+// A target slice shared by several names or cells is counted once.
 func (s *Snapshot) SizeBytes() int {
 	n := 256
-	for name, targets := range s.Vars {
-		n += 48 + len(name)
-		for _, t := range targets {
+	seen := make(map[sliceID]bool)
+	targets := func(ts []string) {
+		n += 24 // slice header
+		id := idOf(ts)
+		if len(ts) == 0 || seen[id] {
+			return
+		}
+		seen[id] = true
+		for _, t := range ts {
 			n += 16 + len(t)
 		}
 	}
+	for name, ts := range s.Vars {
+		n += 48 + len(name)
+		targets(ts)
+	}
 	for _, set := range s.Sets {
 		n += 48 + len(set.Cell)
-		for _, t := range set.Targets {
-			n += 16 + len(t)
-		}
+		targets(set.Targets)
 	}
 	return n
 }
 
-// WriteSnapshot marshals the snapshot to w in its wire form (indented,
-// deterministic: map keys are emitted sorted).
-func WriteSnapshot(w io.Writer, s *Snapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+// sliceID identifies a target slice by its backing array and length: two
+// slices with equal IDs are the same memory, so they hold equal targets.
+type sliceID struct {
+	first *string
+	n     int
 }
 
-// ReadSnapshot unmarshals one snapshot and validates its version. The
-// result of a round trip is deep-equal to the written snapshot.
+func idOf(ts []string) sliceID {
+	if len(ts) == 0 {
+		return sliceID{}
+	}
+	return sliceID{&ts[0], len(ts)}
+}
+
+// ReadSnapshot decodes one snapshot in the legacy plain-JSON form: the
+// payload of ptrsnap1 containers and of headerless spills, which
+// ReadSnapshotChecked still reads for warm restart. Its version is
+// validated, and null or missing lists decode as they would from a
+// ptrsnap2 container (empty target slices, nil Sets).
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
@@ -170,6 +199,19 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	if s.Vars == nil {
 		s.Vars = make(map[string][]string)
+	}
+	for name, ts := range s.Vars {
+		if ts == nil {
+			s.Vars[name] = noTargets
+		}
+	}
+	if len(s.Sets) == 0 {
+		s.Sets = nil
+	}
+	for i := range s.Sets {
+		if s.Sets[i].Targets == nil {
+			s.Sets[i].Targets = noTargets
+		}
 	}
 	return &s, nil
 }

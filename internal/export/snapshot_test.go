@@ -52,10 +52,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for _, cfg := range cfgs {
 		snap := solveSnapshot(t, cfg)
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, snap); err != nil {
+		if err := WriteSnapshotChecked(&buf, snap); err != nil {
 			t.Fatalf("%s: write: %v", cfg.Strategy, err)
 		}
-		got, err := ReadSnapshot(&buf)
+		got, err := ReadSnapshotChecked(&buf)
 		if err != nil {
 			t.Fatalf("%s: read: %v", cfg.Strategy, err)
 		}
@@ -68,20 +68,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotGolden pins the serialized bytes against a checked-in golden
-// file, so accidental wire-format drift (renamed fields, changed ordering)
-// is caught even when both writer and reader drift together. Regenerate
-// after an intentional format change with:
+// TestSnapshotGolden pins the serialized ptrsnap2 container bytes against a
+// checked-in golden file, so accidental wire-format drift (renamed fields,
+// changed ordering or numbering) is caught even when both writer and
+// reader drift together. Regenerate after an intentional format change
+// with:
 //
 //	UPDATE_SNAPSHOT_GOLDEN=1 go test ./internal/export -run TestSnapshotGolden
 func TestSnapshotGolden(t *testing.T) {
 	snap := solveSnapshot(t, pointsto.Config{Strategy: pointsto.CIS})
 	snap.DurationNS = 0 // wall time is machine-dependent; everything else is deterministic
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, snap); err != nil {
+	if err := WriteSnapshotChecked(&buf, snap); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	golden := filepath.Join("testdata", "snapshot_golden.json")
+	golden := filepath.Join("testdata", "snapshot_v2.ptrsnap")
 	if os.Getenv("UPDATE_SNAPSHOT_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -362,5 +364,44 @@ func TestSolveErrorPropagatesToAllWaiters(t *testing.T) {
 	}
 	if s := st.Stats(); s.Solves != 1 || s.Entries != 0 {
 		t.Errorf("stats = %+v (want 1 solve, 0 entries)", s)
+	}
+}
+
+// TestWarmRestartFromPtrsnap1Spill: a spill directory written before the
+// ptrsnap2 container (testdata/ptrsnap1_spill.json, a ptrsnap1 file as
+// those daemons wrote it) still verifies at boot and serves its snapshot.
+func TestWarmRestartFromPtrsnap1Spill(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "ptrsnap1_spill.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "ptrsnap1 ") {
+		t.Fatalf("fixture is not a ptrsnap1 container: %q", data[:16])
+	}
+	dir := t.TempDir()
+	key := hexKey('d')
+	if err := os.WriteFile(filepath.Join(dir, key+spillExt), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := mustStore(t, 0, dir)
+	res, err := st.VerifySpill()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Checked != 1 || res.Quarantined != 0 {
+		t.Fatalf("VerifySpill = %+v, want the ptrsnap1 file checked and kept", res)
+	}
+	snap, ok := st.Get(key)
+	if !ok {
+		t.Fatal("the ptrsnap1 spill did not warm the store")
+	}
+	if snap.Strategy != "common-initial-seq" || snap.TotalFacts != 21 || !snap.HasVar("main") {
+		t.Errorf("ptrsnap1 snapshot decoded wrong: %+v", snap)
+	}
+	if got := snap.PointsTo("gp"); len(got) != 1 || got[0] != "g" {
+		t.Errorf("gp points to %v, want [g]", got)
+	}
+	if s := st.Stats(); s.DiskHits != 1 {
+		t.Errorf("disk hits = %d, want 1", s.DiskHits)
 	}
 }

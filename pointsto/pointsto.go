@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -460,34 +461,39 @@ func (r *Report) SolverStats() SolverStats {
 	}
 }
 
-// pointsToSet unions the points-to sets of every object with the name.
-func (r *Report) pointsToSet(name string) core.CellSet {
+// baseCells returns the normalized base cell of every object with the name.
+func (r *Report) baseCells(name string) []core.Cell {
 	objs := r.objects(name)
-	if len(objs) == 1 {
-		return r.result.PointsTo(objs[0], nil)
+	cells := make([]core.Cell, len(objs))
+	for i, o := range objs {
+		cells[i] = r.result.Strategy.Normalize(o, nil)
 	}
-	union := make(core.CellSet)
-	for _, o := range objs {
-		for c := range r.result.PointsTo(o, nil) {
-			union.Add(c)
-		}
-	}
-	return union
+	return cells
+}
+
+// sharedPointsTo is PointsTo without the copy: names with equal sets get
+// the same rendered slice, which callers must not modify.
+func (r *Report) sharedPointsTo(name string) []string {
+	return r.result.Rendering().Union(r.baseCells(name))
 }
 
 // PointsTo returns the points-to set of the named variable's base cell as
 // sorted cell names ("x", "s.s1", "heap@12", ...). Names shared by several
-// scopes are conservatively unioned; unknown names yield nil.
+// scopes are conservatively unioned; unknown names yield nil. The slice is
+// the caller's to keep or modify.
 func (r *Report) PointsTo(name string) []string {
-	set := r.pointsToSet(name)
-	if len(set) == 0 {
-		return nil
+	return slices.Clone(r.sharedPointsTo(name))
+}
+
+// EachPointsTo calls fn for every queryable name, in Names order, with the
+// targets PointsTo would return for it. Unlike PointsTo, targets is shared:
+// names with equal sets receive the same slice. fn may retain it but must
+// not modify it. This is the bulk form serializers use to keep the
+// solver's set sharing instead of copying every fact.
+func (r *Report) EachPointsTo(fn func(name string, targets []string)) {
+	for _, name := range r.Names() {
+		fn(name, r.sharedPointsTo(name))
 	}
-	out := make([]string, 0, len(set))
-	for _, c := range set.Sorted() {
-		out = append(out, c.String())
-	}
-	return out
 }
 
 // Lookup is PointsTo with unknown-name detection: a name the analyzed
@@ -504,16 +510,7 @@ func (r *Report) Lookup(name string) ([]string, error) {
 // MayAlias reports whether the two named pointers may reference the same
 // cell, by intersecting their points-to sets. Unknown names never alias.
 func (r *Report) MayAlias(a, b string) bool {
-	sa := r.pointsToSet(a)
-	if len(sa) == 0 {
-		return false
-	}
-	for c := range r.pointsToSet(b) {
-		if sa.Has(c) {
-			return true
-		}
-	}
-	return false
+	return r.result.Rendering().Overlaps(r.baseCells(a), r.baseCells(b))
 }
 
 // Set is one cell's points-to set in display form.
@@ -523,19 +520,32 @@ type Set struct {
 }
 
 // Sets returns every named (non-temporary) cell with a non-empty points-to
-// set, sorted by cell, with sorted targets.
+// set, sorted by cell, with sorted targets. The slices are the caller's.
 func (r *Report) Sets() []Set {
-	var out []Set
-	for _, c := range r.result.SortedCells() {
-		if c.Obj.IsTemp() {
-			continue
-		}
-		s := Set{Cell: c.String()}
-		for _, t := range r.result.PointsToCell(c).Sorted() {
-			s.Targets = append(s.Targets, t.String())
-		}
-		out = append(out, s)
+	out := r.sharedSets()
+	for i := range out {
+		out[i].Targets = slices.Clone(out[i].Targets)
 	}
+	return out
+}
+
+// EachSet calls fn for every set Sets returns, in the same order. Unlike
+// Sets, each Targets slice is shared with the report (cells with equal
+// sets receive the same slice): fn may retain it but must not modify it.
+func (r *Report) EachSet(fn func(Set)) {
+	for _, s := range r.sharedSets() {
+		fn(s)
+	}
+}
+
+// sharedSets is Sets without the target copies.
+func (r *Report) sharedSets() []Set {
+	var out []Set
+	r.result.Rendering().Cells(func(c core.Cell, name string, targets []string) {
+		if !c.Obj.IsTemp() {
+			out = append(out, Set{Cell: name, Targets: targets})
+		}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Cell < out[j].Cell })
 	return out
 }

@@ -3,8 +3,10 @@
 # write BENCH_<stamp>.json in the output directory — wall time, per-run
 # solver steps, memoization and cycle-elimination counters ride along inside
 # the ptrbench JSON — plus BENCH_<stamp>.bench.txt, a benchstat-compatible
-# sample of the solver representation benchmarks (go test -bench, -benchmem)
-# so future changes can show statistically grounded deltas:
+# sample of the solver representation benchmarks and of the result/wire
+# layer on the end-to-end benchmark's hub shape (BenchmarkSnapshotHub:
+# NewSnapshot plus the checked encode), via go test -bench -benchmem, so
+# future changes can show statistically grounded deltas:
 #
 #	benchstat BENCH_old.bench.txt BENCH_new.bench.txt
 #
@@ -68,11 +70,11 @@ tmp="${out}.tmp"
 if [ "$short" = 1 ]; then
 	count=3
 	benchtime=5x
-	filter='BenchmarkSolverRepresentation/(anagram|less)/'
+	filter='BenchmarkSolverRepresentation/(anagram|less)/|BenchmarkSnapshotHub'
 else
 	count=10
 	benchtime=20x
-	filter='BenchmarkSolverRepresentation'
+	filter='BenchmarkSolverRepresentation|BenchmarkSnapshotHub'
 fi
 
 start="$(date +%s)"
