@@ -114,9 +114,14 @@ func run() error {
 	var rows []row
 	perVar := make(map[string]map[string][2]bool) // var -> target -> [inA, inB]
 	collect := func(r *core.Result, idx int) {
-		r.Cells(func(c core.Cell, set core.CellSet) {
-			if c.Obj.IsTemp() {
-				return
+		cells, redirect, sets := r.DenseState()
+		for i, c := range cells {
+			set := sets[i]
+			if redirect != nil {
+				set = sets[redirect[i]]
+			}
+			if c.Obj.IsTemp() || len(set) == 0 {
+				continue
 			}
 			name := c.Obj.Name
 			m, ok := perVar[name]
@@ -124,12 +129,13 @@ func run() error {
 				m = make(map[string][2]bool)
 				perVar[name] = m
 			}
-			for tc := range set {
-				v := m[tc.Obj.Name]
+			for _, t := range set {
+				tgt := cells[t].Obj.Name
+				v := m[tgt]
 				v[idx] = true
-				m[tc.Obj.Name] = v
+				m[tgt] = v
 			}
-		})
+		}
 	}
 	collect(ra, 0)
 	collect(rb, 1)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/cc/layout"
 	"repro/internal/core"
@@ -68,12 +69,11 @@ func PrintAll(w io.Writer, result *core.Result) {
 		cell, tgts string
 	}
 	var rows []row
-	for _, c := range result.SortedCells() {
-		if c.Obj.IsTemp() {
-			continue
+	result.Rendering().Cells(func(c core.Cell, name string, targets []string) {
+		if !c.Obj.IsTemp() {
+			rows = append(rows, row{cell: name, tgts: "{" + strings.Join(targets, ", ") + "}"})
 		}
-		rows = append(rows, row{cell: c.String(), tgts: FormatSet(result.PointsToCell(c))})
-	}
+	})
 	sort.Slice(rows, func(i, j int) bool { return rows[i].cell < rows[j].cell })
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-24s -> %s\n", r.cell, r.tgts)
@@ -137,14 +137,14 @@ func WriteDot(w io.Writer, result *core.Result) {
 	fmt.Fprintln(w, "digraph pointsto {")
 	fmt.Fprintln(w, "  node [shape=box, fontname=\"monospace\"];")
 	var lines []string
-	for _, c := range result.SortedCells() {
+	result.Rendering().Cells(func(c core.Cell, name string, targets []string) {
 		if c.Obj.IsTemp() {
-			continue
+			return
 		}
-		for _, t := range result.PointsToCell(c).Sorted() {
-			lines = append(lines, fmt.Sprintf("  %q -> %q;", c.String(), t.String()))
+		for _, t := range targets {
+			lines = append(lines, fmt.Sprintf("  %q -> %q;", name, t))
 		}
-	}
+	})
 	sort.Strings(lines)
 	for _, l := range lines {
 		fmt.Fprintln(w, l)

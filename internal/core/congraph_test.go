@@ -124,7 +124,7 @@ func TestCycleElimMatchesReference(t *testing.T) {
 			if on.Wave.CellsMerged == 0 {
 				t.Errorf("%s: default run collapsed nothing", label)
 			}
-			if dOn, dRef := denseFactDump(on), denseFactDump(ref); dOn != dRef {
+			if dOn, dRef := factDump(on), factDump(ref); dOn != dRef {
 				t.Errorf("%s: dump differs from reference solver\ndense:\n%s\nref:\n%s", label, dOn, dRef)
 			}
 			if on.TotalFacts() != ref.TotalFacts() {
@@ -198,7 +198,7 @@ func TestLimitsKeepWaves(t *testing.T) {
 			if lim.Incomplete != nil || free.Incomplete != nil {
 				t.Fatalf("%s: incomplete: limited=%v unlimited=%v", label, lim.Incomplete, free.Incomplete)
 			}
-			if d1, d2 := denseFactDump(lim), denseFactDump(free); d1 != d2 {
+			if d1, d2 := factDump(lim), factDump(free); d1 != d2 {
 				t.Errorf("%s: dump differs under limits:\n--- limited ---\n%s--- unlimited ---\n%s", label, d1, d2)
 			}
 			if r1, r2 := recorderLine(limStrat.Recorder()), recorderLine(freeStrat.Recorder()); r1 != r2 {
@@ -223,7 +223,7 @@ func TestMaxFactsSweep(t *testing.T) {
 		for name, strat := range strategies(r.Layout) {
 			label := sname + "/" + name
 			full := core.Analyze(r.IR, strat)
-			n := full.TotalFacts()
+			n, fullFacts := full.TotalFacts(), facts(full)
 			for limit := 1; limit <= n+1; limit++ {
 				res := core.AnalyzeWith(r.IR, strategies(r.Layout)[name],
 					core.Options{Limits: core.Limits{MaxFacts: limit}})
@@ -233,14 +233,13 @@ func TestMaxFactsSweep(t *testing.T) {
 				if (res.Incomplete == nil) != (limit > n) {
 					t.Fatalf("%s (MaxFacts=%d, full count %d): incomplete = %v", label, limit, n, res.Incomplete)
 				}
-				res.Cells(func(c core.Cell, set core.CellSet) {
-					fullSet := full.PointsToCell(c)
+				for c, set := range facts(res) {
 					for tgt := range set {
-						if !fullSet.Has(tgt) {
+						if !fullFacts[c].Has(tgt) {
 							t.Fatalf("%s (MaxFacts=%d): partial fact %s -> %s not in fixpoint", label, limit, c, tgt)
 						}
 					}
-				})
+				}
 			}
 		}
 	}
@@ -273,6 +272,7 @@ func TestWaveCancellationSoundPartial(t *testing.T) {
 		if full.Incomplete != nil {
 			t.Fatalf("%s: reference run incomplete", name)
 		}
+		fullFacts := facts(full)
 		stopped := false
 		for polls := 1; polls <= 6; polls++ {
 			ctx := &countdownCtx{Context: context.Background(), polls: polls}
@@ -285,15 +285,14 @@ func TestWaveCancellationSoundPartial(t *testing.T) {
 				t.Fatalf("%s (polls=%d): reason = %s, want canceled",
 					name, polls, lim.Incomplete.Reason)
 			}
-			lim.Cells(func(c core.Cell, set core.CellSet) {
-				fullSet := full.PointsToCell(c)
+			for c, set := range facts(lim) {
 				for tgt := range set {
-					if !fullSet.Has(tgt) {
+					if !fullFacts[c].Has(tgt) {
 						t.Errorf("%s (polls=%d): partial fact %s -> %s not in reference fixpoint",
 							name, polls, c, tgt)
 					}
 				}
-			})
+			}
 		}
 		if !stopped {
 			t.Errorf("%s: no countdown produced a cancelled wave", name)
@@ -317,9 +316,9 @@ func TestStopCountsMatchResult(t *testing.T) {
 					continue
 				}
 				stopped = true
-				if stop.Facts != res.TotalFacts() || stop.Cells != len(res.SortedCells()) {
+				if cells := len(facts(res)); stop.Facts != res.TotalFacts() || stop.Cells != cells {
 					t.Errorf("%s/%s (polls=%d): stop reports %d facts in %d cells, result shows %d in %d",
-						oname, name, polls, stop.Facts, stop.Cells, res.TotalFacts(), len(res.SortedCells()))
+						oname, name, polls, stop.Facts, stop.Cells, res.TotalFacts(), cells)
 				}
 			}
 			if !stopped {
@@ -360,7 +359,7 @@ func TestMultipleSCCs(t *testing.T) {
 		if res.Wave.SCCsFound < 3 {
 			t.Errorf("%s: found %d SCCs, want >= 3", name, res.Wave.SCCsFound)
 		}
-		if d, rd := denseFactDump(res), denseFactDump(ref); d != rd {
+		if d, rd := factDump(res), factDump(ref); d != rd {
 			t.Errorf("%s: dump differs from reference\ndense:\n%s\nref:\n%s", name, d, rd)
 		}
 		// The last block sees every upstream seed.

@@ -2,14 +2,13 @@ package core_test
 
 // Differential test for the dense CellID/Bits solver rewrite: AnalyzeWith
 // (dense) and AnalyzeReference (the retained map-based solver, refsolver.go)
-// must agree exactly — same SortedCells dump, same Figure-6 fact count, same
+// must agree exactly — same fact dump, same Figure-6 fact count, same
 // Figure-4 dereference sizes, same Figure-3 logical-call instrumentation —
 // on every corpus program, under all four strategies, with memoization both
 // on and off.
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -17,23 +16,6 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/metrics"
 )
-
-// denseFactDump renders a result as the canonical sorted fact listing.
-func denseFactDump(res *core.Result) string {
-	var sb strings.Builder
-	for _, c := range res.SortedCells() {
-		sb.WriteString(c.String())
-		sb.WriteString(" -> {")
-		for i, t := range res.PointsToCell(c).Sorted() {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(t.String())
-		}
-		sb.WriteString("}\n")
-	}
-	return sb.String()
-}
 
 func recorderLine(r *core.Recorder) string {
 	return fmt.Sprintf("lk=%d lkS=%d lkM=%d rs=%d rsS=%d rsM=%d",
@@ -82,7 +64,7 @@ func TestDenseSolverMatchesReference(t *testing.T) {
 					if d, r := dense.AvgDerefSetSize(), ref.AvgDerefSetSize(); d != r {
 						t.Errorf("AvgDerefSetSize: dense=%v ref=%v", d, r)
 					}
-					if d, r := denseFactDump(dense), denseFactDump(ref); d != r {
+					if d, r := factDump(dense), factDump(ref); d != r {
 						t.Errorf("fact dump mismatch:\n--- dense ---\n%s--- reference ---\n%s", d, r)
 					}
 					if d, r := recorderLine(denseStrat.Recorder()), recorderLine(refStrat.Recorder()); d != r {

@@ -162,15 +162,16 @@ func TestResultAPIs(t *testing.T) {
 	res := core.Analyze(r.IR, core.NewCIS())
 	p := objByName(t, r.IR, "p")
 
-	cell := res.Strategy.Normalize(p, nil)
-	set := res.PointsToCell(cell)
+	set := res.PointsTo(p, nil)
 	if set.Len() != 1 {
-		t.Fatalf("PointsToCell len = %d", set.Len())
+		t.Fatalf("PointsTo len = %d", set.Len())
 	}
 	count := 0
-	res.Cells(func(c core.Cell, s core.CellSet) { count += s.Len() })
+	for _, s := range facts(res) {
+		count += s.Len()
+	}
 	if count != res.TotalFacts() {
-		t.Errorf("Cells total %d != TotalFacts %d", count, res.TotalFacts())
+		t.Errorf("facts total %d != TotalFacts %d", count, res.TotalFacts())
 	}
 	sorted := set.Sorted()
 	if len(sorted) != 1 || sorted[0].Obj.Name != "x" {

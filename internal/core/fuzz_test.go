@@ -112,13 +112,32 @@ func decodeProgram(f *fuzzUniverse, data []byte) *ir.Program {
 	return prog
 }
 
-// fuzzDump renders a result as its sorted fact listing.
+// fuzzDump renders a result as its sorted fact listing, read from
+// DenseState.
 func fuzzDump(r *Result) string {
+	cells, redirect, sets := r.DenseState()
+	m := make(map[Cell]CellSet)
+	for i, c := range cells {
+		ids := sets[i]
+		if redirect != nil {
+			ids = sets[redirect[i]]
+		}
+		for _, id := range ids {
+			if m[c] == nil {
+				m[c] = make(CellSet)
+			}
+			m[c].Add(cells[id])
+		}
+	}
+	keys := make(CellSet, len(m))
+	for c := range m {
+		keys.Add(c)
+	}
 	var b strings.Builder
-	for _, c := range r.SortedCells() {
+	for _, c := range keys.Sorted() {
 		b.WriteString(c.String())
 		b.WriteString(" ->")
-		for _, t := range r.PointsToCell(c).Sorted() {
+		for _, t := range m[c].Sorted() {
 			b.WriteString(" ")
 			b.WriteString(t.String())
 		}

@@ -1,8 +1,6 @@
 package core_test
 
 import (
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -38,18 +36,6 @@ void headers(void) {
 }
 `
 
-// factDump renders the full points-to graph as sorted "cell -> target" lines.
-func factDump(res *core.Result) []string {
-	var out []string
-	for _, c := range res.SortedCells() {
-		for _, t := range res.PointsToCell(c).Sorted() {
-			out = append(out, c.String()+" -> "+t.String())
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TestMemoizationPreservesResults runs every strategy with the caches on and
 // off and demands identical facts AND identical instrumentation counts —
 // the memo layer must be invisible except for the hit/miss counters.
@@ -70,10 +56,8 @@ func TestMemoizationPreservesResults(t *testing.T) {
 			if got, want := rOn.AvgDerefSetSize(), rOff.AvgDerefSetSize(); got != want {
 				t.Errorf("AvgDerefSetSize: memo on %v, off %v", got, want)
 			}
-			fOn, fOff := factDump(rOn), factDump(rOff)
-			if strings.Join(fOn, "\n") != strings.Join(fOff, "\n") {
-				t.Errorf("fact graphs differ:\nmemo on:\n%s\nmemo off:\n%s",
-					strings.Join(fOn, "\n"), strings.Join(fOff, "\n"))
+			if fOn, fOff := factDump(rOn), factDump(rOff); fOn != fOff {
+				t.Errorf("fact graphs differ:\nmemo on:\n%s\nmemo off:\n%s", fOn, fOff)
 			}
 
 			recOn, recOff := on.Recorder(), off.Recorder()

@@ -70,7 +70,7 @@ func prepassDifferential(t *testing.T, parallel bool) {
 				if a, b, c := on.AvgDerefSetSize(), off.AvgDerefSetSize(), ref.AvgDerefSetSize(); a != b || a != c {
 					t.Errorf("AvgDerefSetSize: on=%v off=%v ref=%v", a, b, c)
 				}
-				dOn, dOff, dRef := denseFactDump(on), denseFactDump(off), denseFactDump(ref)
+				dOn, dOff, dRef := factDump(on), factDump(off), factDump(ref)
 				if dOn != dOff {
 					t.Errorf("fact dump differs under NoPrepass:\n--- on ---\n%s--- off ---\n%s", dOn, dOff)
 				}

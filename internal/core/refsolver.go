@@ -12,15 +12,22 @@ import (
 // This file preserves the original map-based fixpoint (points-to sets as
 // map[Cell]struct{}, delta lists as []Cell) exactly as it ran before the
 // dense CellID/Bits rewrite in solver.go. It is the differential-testing
-// oracle: AnalyzeReference must produce byte-identical SortedCells output,
-// fact counts and Figure-3 instrumentation to AnalyzeWith on every program,
-// which the corpus-wide test in dense_diff_test.go enforces. It is not used
-// on any production path.
+// oracle: AnalyzeReference must derive exactly the facts, fact counts and
+// Figure-3 instrumentation AnalyzeWith derives on every program, which the
+// corpus-wide test in dense_diff_test.go enforces. It is not used on any
+// production path.
 
 // AnalyzeReference runs the retained map-based solver. Results, resource
 // limits and instrumentation behave identically to AnalyzeWith; only the
 // internal representation (and therefore speed) differs.
 func AnalyzeReference(prog *ir.Program, strat Strategy, opts Options) *Result {
+	s := newRefSolver(prog, strat, opts)
+	start := time.Now()
+	s.run()
+	return s.finish(start)
+}
+
+func newRefSolver(prog *ir.Program, strat Strategy, opts Options) *refSolver {
 	s := &refSolver{
 		limits:   opts.Limits,
 		prog:     prog,
@@ -36,12 +43,38 @@ func AnalyzeReference(prog *ir.Program, strat Strategy, opts Options) *Result {
 	if opts.UseUnknown {
 		s.unknown = &ir.Object{ID: -1, Name: "<unknown>", Kind: ir.ObjVar}
 	}
-	start := time.Now()
-	s.run()
+	return s
+}
+
+// finish packages the oracle's answer as a Result. Its final map is
+// interned into a fresh CellTable and []Bits in one pass, through
+// CellTable.ID and Bits.Add alone, so the oracle never shares the dense
+// solver's propagation code with the answer it is checked against.
+func (s *refSolver) finish(start time.Time) *Result {
+	table := NewCellTable()
+	var dense []Bits
+	intern := func(c Cell) CellID {
+		id := table.ID(c)
+		for int(id) >= len(dense) {
+			dense = append(dense, Bits{})
+		}
+		return id
+	}
+	for c, set := range s.pts {
+		if len(set) == 0 {
+			continue
+		}
+		id := intern(c)
+		for t := range set {
+			tid := intern(t) // may grow dense: index it afterwards
+			dense[id].Add(tid)
+		}
+	}
 	return &Result{
-		Strategy:   strat,
-		Program:    prog,
-		pts:        s.pts,
+		Strategy:   s.strat,
+		Program:    s.prog,
+		table:      table,
+		dense:      dense,
 		Duration:   time.Since(start),
 		Steps:      s.steps,
 		Incomplete: s.stop,

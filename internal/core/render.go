@@ -5,11 +5,11 @@ import (
 	"slices"
 )
 
-// Rendering is the display form of a dense Result, built once per Result
-// from the solver's own state (table, dense sets, cycle-merge redirect):
-// every interned cell is ranked once in CellSet.Sorted order and named once
-// through Cell.String, and every distinct points-to set is rendered once as
-// its sorted target names. Cells with equal sets — cells sharing an
+// Rendering is the display form of a Result, built once per Result from
+// its dense state (table, dense sets, cycle-merge redirect): every interned
+// cell is ranked once in CellSet.Sorted order and named once through
+// Cell.String, and every distinct points-to set is rendered once as its
+// sorted target names. Cells with equal sets — cells sharing an
 // interned allocation, merged cells and equal-content sets alike — share
 // one rendered slice, so rendering costs O(distinct sets) strings instead
 // of O(facts), and a serializer can carry that sharing to the wire.
@@ -26,13 +26,8 @@ type Rendering struct {
 	sets  [][]string // distinct set → member names, in rank order
 }
 
-// Rendering returns the result's display form, building it on first use. It
-// returns nil for results built by AnalyzeReference, which have no dense
-// form; their queries go through the map view.
+// Rendering returns the result's display form, building it on first use.
 func (r *Result) Rendering() *Rendering {
-	if r.table == nil {
-		return nil
-	}
 	r.renderOnce.Do(func() { r.render = newRendering(r) })
 	return r.render
 }

@@ -13,20 +13,15 @@ import (
 	"repro/internal/ir"
 )
 
-// Result is the outcome of one analysis run.
-//
-// The solver produces results in the dense CellID/Bits representation; the
-// map[Cell]CellSet view that PointsTo, PointsToCell and Cells expose is
-// materialized lazily, once, on first use (metrics-only consumers — Total-
-// Facts, SiteSetSize, AvgDerefSetSize — read the dense form directly and
-// never pay for it). Materialization is guarded by a sync.Once, so a Result
-// remains safe for concurrent use.
+// Result is the outcome of one analysis run: the points-to relation over
+// interned cells, held in the dense CellID/Bits form the solver computes.
+// Every reader — queries, metrics, Rendering, DenseState — reads that one
+// form; AnalyzeReference interns its map-based answer into it as well. A
+// Result is safe for concurrent use.
 type Result struct {
 	Strategy Strategy
 	Program  *ir.Program
 
-	// Dense form (nil table for results built by AnalyzeReference, which
-	// constructs the map view directly).
 	table *CellTable
 	dense []Bits
 
@@ -37,9 +32,6 @@ type Result struct {
 	// metrics read dense[redirect[id]] and stay byte-identical to a run
 	// without merging.
 	redirect []CellID
-
-	matOnce sync.Once
-	pts     map[Cell]CellSet
 
 	renderOnce sync.Once
 	render     *Rendering
@@ -74,108 +66,56 @@ func (r *Result) set(id CellID) *Bits {
 	return &r.dense[id]
 }
 
-// points returns the map view, materializing it from the dense form on
-// first use.
-func (r *Result) points() map[Cell]CellSet {
-	r.matOnce.Do(func() {
-		if r.pts != nil {
-			return // built directly by the reference solver
-		}
-		m := make(map[Cell]CellSet)
-		for id := range r.dense {
-			set := r.set(CellID(id))
-			if set.Len() == 0 {
-				continue
-			}
-			cs := make(CellSet, set.Len())
-			set.Iterate(func(t CellID) { cs[r.table.Cell(t)] = struct{}{} })
-			m[r.table.Cell(CellID(id))] = cs
-		}
-		r.pts = m
-	})
-	return r.pts
+// lookup returns c's dense points-to set, nil when c was never interned.
+func (r *Result) lookup(c Cell) *Bits {
+	id, ok := r.table.Find(c)
+	if !ok || int(id) >= len(r.dense) {
+		return nil
+	}
+	return r.set(id)
 }
 
-// PointsTo returns the points-to set of the normalized cell for obj.path.
+// PointsTo returns a fresh copy of the points-to set of the normalized cell
+// for obj.path, nil when it is empty.
 func (r *Result) PointsTo(obj *ir.Object, path ir.Path) CellSet {
-	c := r.Strategy.Normalize(obj, path)
-	return r.points()[c]
+	return r.pointsToCell(r.Strategy.Normalize(obj, path))
 }
 
-// PointsToCell returns the points-to set of a cell.
-func (r *Result) PointsToCell(c Cell) CellSet { return r.points()[c] }
-
-// Cells iterates over all cells with non-empty points-to sets, in map order.
-// Use SortedCells when the iteration order must be deterministic.
-func (r *Result) Cells(fn func(c Cell, set CellSet)) {
-	for c, s := range r.points() {
-		if len(s) > 0 {
-			fn(c, s)
-		}
+// pointsToCell returns a fresh copy of c's points-to set, nil when it is
+// empty.
+func (r *Result) pointsToCell(c Cell) CellSet {
+	b := r.lookup(c)
+	if b == nil || b.Len() == 0 {
+		return nil
 	}
-}
-
-// SortedCells returns every cell with a non-empty points-to set in the
-// stable display order of CellSet.Sorted, so dumps, graphs and golden tests
-// do not depend on Go's randomized map iteration.
-func (r *Result) SortedCells() []Cell {
-	pts := r.points()
-	cells := make(CellSet, len(pts))
-	for c, s := range pts {
-		if len(s) > 0 {
-			cells[c] = struct{}{}
-		}
-	}
-	return cells.Sorted()
+	cs := make(CellSet, b.Len())
+	b.Iterate(func(t CellID) { cs[r.table.Cell(t)] = struct{}{} })
+	return cs
 }
 
 // NumCells returns the number of cells the run interned — for a full solve,
 // every cell any statement or fact touched; for a demand slice, only the
-// cells of the explored subgraph. It is the denominator of the demand
-// engine's slice-size ratio.
-func (r *Result) NumCells() int {
-	if r.table != nil {
-		return r.table.Len()
-	}
-	return len(r.pts)
-}
+// cells of the explored subgraph; for AnalyzeReference, every cell its
+// facts name. It is the denominator of the demand engine's slice-size
+// ratio.
+func (r *Result) NumCells() int { return r.table.Len() }
 
 // TotalFacts is the total number of points-to edges (Figure 6's metric).
-// It reads the dense form and does not materialize the map view.
 func (r *Result) TotalFacts() int {
-	if r.table != nil {
-		n := 0
-		for i := range r.dense {
-			n += r.set(CellID(i)).Len()
-		}
-		return n
-	}
 	n := 0
-	for _, s := range r.pts {
-		n += len(s)
+	for i := range r.dense {
+		n += r.set(CellID(i)).Len()
 	}
 	return n
 }
 
 // SiteSetSize returns the (expanded) points-to set size of a dereference
 // site: the number of fields the dereferenced pointer may reference, with
-// collapsed facts expanded per-field as in Figure 4. Like TotalFacts it
-// reads the dense form directly.
+// collapsed facts expanded per-field as in Figure 4.
 func (r *Result) SiteSetSize(site *ir.DerefSite) int {
-	if r.table != nil {
-		c := r.Strategy.Normalize(site.Ptr, nil)
-		id, ok := r.table.Find(c)
-		if !ok || int(id) >= len(r.dense) {
-			return 0
-		}
-		n := 0
-		r.set(id).Iterate(func(t CellID) { n += r.Strategy.ExpandedSize(r.table.Cell(t)) })
-		return n
-	}
-	set := r.PointsTo(site.Ptr, nil)
 	n := 0
-	for c := range set {
-		n += r.Strategy.ExpandedSize(c)
+	if b := r.lookup(r.Strategy.Normalize(site.Ptr, nil)); b != nil {
+		b.Iterate(func(t CellID) { n += r.Strategy.ExpandedSize(r.table.Cell(t)) })
 	}
 	return n
 }
@@ -409,25 +349,20 @@ func (s *solver) restoreEdge(e Edge) {
 	s.edgeIdx[e.Src.Obj] = append(s.edgeIdx[e.Src.Obj], e)
 }
 
-// DenseState exposes a dense result's final solver state for serialization
-// by the incremental-resume subsystem: every interned cell in first-seen
+// DenseState exposes a result's final solver state for serialization by
+// the incremental-resume subsystem: every interned cell in first-seen
 // order, the union-find redirect produced by online cycle elimination (nil
 // when no cells merged — every cell is its own representative), and each
 // representative's points-to set as sorted CellIDs (nil both for empty sets
 // and for merged-away members, whose facts live on their representative).
-// It returns ok=false for results built by AnalyzeReference, which have no
-// dense form.
-func (r *Result) DenseState() (cells []Cell, redirect []CellID, sets [][]CellID, ok bool) {
-	if r.table == nil {
-		return nil, nil, nil, false
-	}
+func (r *Result) DenseState() (cells []Cell, redirect []CellID, sets [][]CellID) {
 	n := r.table.Len()
 	cells = make([]Cell, n)
 	for i := 0; i < n; i++ {
 		cells[i] = r.table.Cell(CellID(i))
 	}
 	sets = make([][]CellID, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < len(r.dense); i++ {
 		id := CellID(i)
 		if r.redirect != nil && r.redirect[id] != id {
 			continue
@@ -436,7 +371,7 @@ func (r *Result) DenseState() (cells []Cell, redirect []CellID, sets [][]CellID,
 			sets[i] = b.AppendTo(make([]CellID, 0, b.Len()))
 		}
 	}
-	return cells, r.redirect, sets, true
+	return cells, r.redirect, sets
 }
 
 // newSolver builds a solver over the program with empty fact state; run (or

@@ -1,10 +1,9 @@
 package core_test
 
-// Satellite coverage for display ordering under the dense representation:
-// CellSet.Sorted's comparator, and Result.SortedCells determinism through
-// the lazy map-view materialization — including on an Incomplete partial
-// result, where materialization runs over whatever fact subset the aborted
-// solver left behind.
+// Display ordering under the dense representation: CellSet.Sorted's
+// comparator, and Result.Rendering determinism under concurrent first use —
+// including on an Incomplete partial result, where the rendering covers
+// whatever fact subset the aborted solver left behind.
 
 import (
 	"strings"
@@ -62,20 +61,19 @@ int main(void) {
 	return r
 }
 
-func dumpSortedCells(res *core.Result) string {
+func dumpRendering(res *core.Result) string {
 	var sb strings.Builder
-	for _, c := range res.SortedCells() {
-		sb.WriteString(c.String())
-		sb.WriteString(";")
-	}
+	res.Rendering().Cells(func(_ core.Cell, name string, targets []string) {
+		sb.WriteString(name + " -> {" + strings.Join(targets, ", ") + "}\n")
+	})
 	return sb.String()
 }
 
-// TestSortedCellsDeterministic runs the same analysis repeatedly and reads
-// SortedCells from concurrent goroutines: every observation — within a
-// result (racing the one-time materialization) and across independent runs —
-// must be identical.
-func TestSortedCellsDeterministic(t *testing.T) {
+// TestRenderingDeterministic runs the same analysis repeatedly and reads
+// its Rendering from concurrent goroutines: every observation — within a
+// result (racing the one-time build) and across independent runs — must be
+// identical.
+func TestRenderingDeterministic(t *testing.T) {
 	r := loadSorted(t)
 	var first string
 	for run := 0; run < 4; run++ {
@@ -86,30 +84,30 @@ func TestSortedCellsDeterministic(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got[i] = dumpSortedCells(res)
+				got[i] = dumpRendering(res)
 			}(i)
 		}
 		wg.Wait()
 		for i, g := range got {
 			if g != got[0] {
-				t.Fatalf("run %d: concurrent SortedCells disagree:\n[0] %s\n[%d] %s", run, got[0], i, g)
+				t.Fatalf("run %d: concurrent renderings disagree:\n[0] %s\n[%d] %s", run, got[0], i, g)
 			}
 		}
 		if run == 0 {
 			first = got[0]
 			if first == "" {
-				t.Fatal("empty SortedCells dump")
+				t.Fatal("empty rendering")
 			}
 		} else if got[0] != first {
-			t.Fatalf("run %d: SortedCells differ across runs:\n%s\n%s", run, first, got[0])
+			t.Fatalf("run %d: renderings differ across runs:\n%s\n%s", run, first, got[0])
 		}
 	}
 }
 
-// TestSortedCellsIncomplete exercises lazy materialization on a partial
-// result: an aborted run must still expose a stable, deterministic view of
-// the facts it did derive.
-func TestSortedCellsIncomplete(t *testing.T) {
+// TestRenderingIncomplete renders a partial result: an aborted run must
+// still expose a stable, deterministic rendering of exactly the facts it
+// did derive.
+func TestRenderingIncomplete(t *testing.T) {
 	r := loadSorted(t)
 	opts := core.Options{Limits: core.Limits{MaxFacts: 3}}
 	var first string
@@ -124,20 +122,19 @@ func TestSortedCellsIncomplete(t *testing.T) {
 		if got := res.TotalFacts(); got > 3 {
 			t.Fatalf("partial result has %d facts, limit 3", got)
 		}
-		dump := dumpSortedCells(res)
-		// The view must agree with per-cell queries and repeat identically.
-		for _, c := range res.SortedCells() {
-			if res.PointsToCell(c).Len() == 0 {
-				t.Fatalf("SortedCells lists %s with an empty set", c)
-			}
+		// The rendering must list exactly the dense state's non-empty
+		// cells, with their sets, and repeat identically.
+		dump := dumpRendering(res)
+		if want := factDump(res); dump != want {
+			t.Fatalf("rendering disagrees with the dense state:\n%s\nwant:\n%s", dump, want)
 		}
-		if d2 := dumpSortedCells(res); d2 != dump {
-			t.Fatalf("repeated SortedCells differ on the same result")
+		if d2 := dumpRendering(res); d2 != dump {
+			t.Fatalf("repeated renderings differ on the same result")
 		}
 		if run == 0 {
 			first = dump
 		} else if dump != first {
-			t.Fatalf("run %d: partial SortedCells differ across runs:\n%s\n%s", run, first, dump)
+			t.Fatalf("run %d: partial renderings differ across runs:\n%s\n%s", run, first, dump)
 		}
 	}
 }

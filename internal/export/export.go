@@ -7,6 +7,7 @@ package export
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -39,15 +40,10 @@ func Result(r *core.Result, includeSets bool) ResultJSON {
 		DurationNS:   r.Duration.Nanoseconds(),
 	}
 	if includeSets {
-		r.Cells(func(c core.Cell, set core.CellSet) {
-			if c.Obj.IsTemp() {
-				return
+		r.Rendering().Cells(func(c core.Cell, name string, targets []string) {
+			if !c.Obj.IsTemp() {
+				out.Sets = append(out.Sets, PointsTo{Cell: name, Targets: slices.Clone(targets)})
 			}
-			pt := PointsTo{Cell: c.String()}
-			for _, t := range set.Sorted() {
-				pt.Targets = append(pt.Targets, t.String())
-			}
-			out.Sets = append(out.Sets, pt)
 		})
 		sort.Slice(out.Sets, func(i, j int) bool { return out.Sets[i].Cell < out.Sets[j].Cell })
 	}

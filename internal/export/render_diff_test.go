@@ -46,9 +46,9 @@ func refStrategy(s pointsto.Strategy, lay *layout.Engine) core.Strategy {
 	return core.NewCIS()
 }
 
-// renderReference renders a result through the map view and
-// CellSet.Sorted — the path NewSnapshot used before the dense rendering —
-// into a snapshot's Vars and Sets.
+// renderReference renders a result cell by cell through PointsTo,
+// DenseState and CellSet.Sorted — independently of the Rendering that
+// NewSnapshot reads — into a snapshot's Vars and Sets.
 func renderReference(res *frontend.Result, r *core.Result) (map[string][]string, []PointsTo) {
 	byName := make(map[string]core.CellSet)
 	for _, o := range res.IR.Objects {
@@ -75,13 +75,30 @@ func renderReference(res *frontend.Result, r *core.Result) (map[string][]string,
 			vars[name] = append(vars[name], c.String())
 		}
 	}
-	var sets []PointsTo
-	for _, c := range r.SortedCells() {
-		if c.Obj.IsTemp() {
+	cells, redirect, dense := r.DenseState()
+	byCell := make(map[core.Cell]core.CellSet)
+	for i, c := range cells {
+		ids := dense[i]
+		if redirect != nil {
+			ids = dense[redirect[i]]
+		}
+		if c.Obj.IsTemp() || len(ids) == 0 {
 			continue
 		}
+		set := make(core.CellSet, len(ids))
+		for _, id := range ids {
+			set.Add(cells[id])
+		}
+		byCell[c] = set
+	}
+	keys := make(core.CellSet, len(byCell))
+	for c := range byCell {
+		keys.Add(c)
+	}
+	var sets []PointsTo
+	for _, c := range keys.Sorted() {
 		pt := PointsTo{Cell: c.String()}
-		for _, t := range r.PointsToCell(c).Sorted() {
+		for _, t := range byCell[c].Sorted() {
 			pt.Targets = append(pt.Targets, t.String())
 		}
 		sets = append(sets, pt)
@@ -92,11 +109,11 @@ func renderReference(res *frontend.Result, r *core.Result) (map[string][]string,
 
 // TestSnapshotMatchesReferenceRendering is the rendering differential:
 // NewSnapshot's Vars and Sets, built from the dense rendering, must
-// deep-equal the map-view rendering of core.AnalyzeReference on every
+// deep-equal the cell-by-cell rendering of core.AnalyzeReference on every
 // corpus program under every strategy (Offsets under lp64 and ilp32), a
 // hub-and-chains program, and a program whose name spans scopes. A
 // MaxSteps-bounded run stops short of the fixpoint, so its oracle is the
-// same bounded dense run rendered through the map view.
+// same bounded dense run rendered cell by cell.
 func TestSnapshotMatchesReferenceRendering(t *testing.T) {
 	var cases []refCase
 	names := corpus.SortedByGroup()

@@ -183,10 +183,9 @@ func (g *Graph) NumFacts() int {
 }
 
 // Capture folds a completed solve into a resumable Graph. The result must
-// come from the dense solver (core.Analyze*), must have reached fixpoint,
-// and must have been produced under cfg over exactly these sources;
-// violations are errors, not fallbacks, because a miscaptured graph would
-// poison every later Resume.
+// have reached fixpoint and must have been produced under cfg over exactly
+// these sources; violations are errors, not fallbacks, because a
+// miscaptured graph would poison every later Resume.
 func Capture(sources []frontend.Source, cfg Config, res *frontend.Result, result *core.Result) (*Graph, error) {
 	cfg = cfg.withDefaults()
 	if result.Incomplete != nil {
@@ -195,10 +194,7 @@ func Capture(sources []frontend.Source, cfg Config, res *frontend.Result, result
 	if name := result.Strategy.Name(); name != cfg.Strategy {
 		return nil, fmt.Errorf("incr: result solved under %q, config says %q", name, cfg.Strategy)
 	}
-	cells, redirect, sets, ok := result.DenseState()
-	if !ok {
-		return nil, fmt.Errorf("incr: reference-solver results have no dense state to capture")
-	}
+	cells, redirect, sets := result.DenseState()
 	rep := func(id core.CellID) core.CellID {
 		for redirect != nil && redirect[id] != id {
 			id = redirect[id]

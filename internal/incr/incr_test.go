@@ -13,15 +13,33 @@ import (
 	"repro/internal/metrics"
 )
 
-// factDump renders a result exactly like the dense-vs-reference
-// differential test in internal/core, so "byte-identical" means the same
-// thing across both oracles.
+// factDump renders a result from its DenseState exactly like the
+// dense-vs-reference differential test in internal/core, so
+// "byte-identical" means the same thing across both oracles.
 func factDump(res *core.Result) string {
+	cells, redirect, sets := res.DenseState()
+	m := make(map[core.Cell]core.CellSet)
+	for i, c := range cells {
+		ids := sets[i]
+		if redirect != nil {
+			ids = sets[redirect[i]]
+		}
+		for _, id := range ids {
+			if m[c] == nil {
+				m[c] = make(core.CellSet)
+			}
+			m[c].Add(cells[id])
+		}
+	}
+	keys := make(core.CellSet, len(m))
+	for c := range m {
+		keys.Add(c)
+	}
 	var sb strings.Builder
-	for _, c := range res.SortedCells() {
+	for _, c := range keys.Sorted() {
 		sb.WriteString(c.String())
 		sb.WriteString(" -> {")
-		for i, t := range res.PointsToCell(c).Sorted() {
+		for i, t := range m[c].Sorted() {
 			if i > 0 {
 				sb.WriteString(", ")
 			}

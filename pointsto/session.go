@@ -346,6 +346,13 @@ func (s *Session) Report(ctx context.Context) (rep *Report, err error) {
 			f = &reportFlight{done: make(chan struct{}), cancel: cancel, waiters: 1}
 			s.flight = f
 			s.flightMu.Unlock()
+			if ctx.Err() != nil {
+				// A caller already gone must get the canceled partial
+				// report, not whichever of f.done and ctx.Done awaitFlight's
+				// select picks: start the flight canceled, so the solver
+				// stops at its first poll and nothing is memoized.
+				cancel()
+			}
 			go s.runFlight(fctx, f)
 		} else {
 			f.waiters++

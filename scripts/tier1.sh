@@ -38,6 +38,24 @@ go test -short -count=1 \
 	-run 'TestPrepassDifferentialCorpus$|TestGenerateLargePrepassCollapsesChains' \
 	./internal/core ./internal/corpus
 
+echo "== command outputs (ptrcheck and ptrdiff renderings must stay byte-identical)"
+# The digests in scripts/testdata/cmd_outputs.sha256 pin the commands' full
+# output; after an intended output change, rerun these commands and refresh
+# the file with "sha256sum * > .../cmd_outputs.sha256" inside the output dir.
+cmdout=$(mktemp -d)
+trap 'rm -rf "$cmdout"' EXIT
+go build -o "$cmdout/bin/ptrcheck" ./cmd/ptrcheck
+go build -o "$cmdout/bin/ptrdiff" ./cmd/ptrdiff
+for prog in compiler ks; do
+	"$cmdout/bin/ptrcheck" -corpus "$prog" >"$cmdout/ptrcheck-$prog.txt"
+	for mode in dot modref callgraph; do
+		"$cmdout/bin/ptrcheck" -corpus "$prog" "-$mode" >"$cmdout/ptrcheck-$prog-$mode.txt"
+	done
+done
+"$cmdout/bin/ptrdiff" -a collapse-always -b offsets -corpus ks >"$cmdout/ptrdiff-ks.txt"
+"$cmdout/bin/ptrdiff" -a collapse-always -b common-initial-seq -corpus bc >"$cmdout/ptrdiff-bc.txt"
+(cd "$cmdout" && sha256sum -c --quiet) <scripts/testdata/cmd_outputs.sha256
+
 echo "== fuzz smoke (frontend + solver + interner + snapshot decoder must never panic)"
 go test -run='^$' -fuzz=FuzzLoad -fuzztime=10s ./internal/frontend
 go test -run='^$' -fuzz=FuzzSolve -fuzztime=10s ./internal/core
