@@ -18,17 +18,15 @@ import (
 // program against a cold solve of it. The warm path's cost is split into
 // its phases instead of one conflated number:
 //
-//   - decode: the mirror-artifact build — replaying the captured
-//     statements to reconstruct copy edges and the taint index. Memoized
-//     per resident graph, so only the first resume pays it (a graph
-//     restored from disk always does); printed from that first run.
+//   - decode: the graph's lazily built warm state — fingerprinting the
+//     captured units, listing its final sets and replaying the captured
+//     statements to reconstruct copy edges and the taint index. Paid once
+//     per resident graph, so only the first resume pays it; printed from
+//     that first run.
 //   - converge (cv/cold): the per-edit marginal cost — diff, match,
 //     taint, seeding, delta solve — against the cold solve's full wall.
-//     This isolates what the persistent graph saves: both paths must
+//     This isolates what the resident graph saves: both paths must
 //     parse the edited sources identically.
-//   - capture: folding the edited program's solved state into the next
-//     resumable graph — the price of staying warm for the edit after
-//     this one.
 //   - wall: end-to-end warm wall (parse and decode included) against the
 //     same cold wall. On tiny programs this exceeds 100% even when
 //     converge is small — the cold solve is so cheap that the fixed
@@ -44,10 +42,10 @@ func runIncr(ctx context.Context, names []string, abi string, repeat, editsN int
 	fmt.Println("Incremental re-analysis: warm resume vs cold solve per single-function edit")
 	fmt.Printf("(strategy %s, abi %s, %d edits/program, median of %d runs;\n",
 		cfg.Resolved().Strategy, abi, editsN, repeat)
-	fmt.Println(" decode is paid once per resident graph, capture once per kept result)")
+	fmt.Println(" decode is paid once per resident graph)")
 	fmt.Println()
-	fmt.Printf("%-12s %-12s %10s %10s %10s %10s %10s %7s %7s %8s %8s\n",
-		"program", "edit", "cold", "warm", "decode", "converge", "capture", "cv/cold", "wall", "seeded", "skipped")
+	fmt.Printf("%-12s %-12s %10s %10s %10s %10s %7s %7s %8s %8s\n",
+		"program", "edit", "cold", "warm", "decode", "converge", "cv/cold", "wall", "seeded", "skipped")
 
 	var convRatios, wallRatios []float64
 	for _, name := range names {
@@ -68,20 +66,14 @@ func runIncr(ctx context.Context, names []string, abi string, repeat, editsN int
 			newSrc := []frontend.Source{{Name: src[0].Name, Text: ed.Text}}
 			var coldFacts int
 			coldWalls := make([]time.Duration, 0, repeat)
-			captures := make([]time.Duration, 0, repeat)
 			for i := 0; i < repeat; i++ {
 				start := time.Now()
-				fres, res, err := incr.Analyze(ctx, newSrc, cfg)
+				_, res, err := incr.Analyze(ctx, newSrc, cfg)
 				if err != nil {
 					return fmt.Errorf("%s/%s: cold: %w", name, ed, err)
 				}
 				coldWalls = append(coldWalls, time.Since(start))
 				coldFacts = res.TotalFacts()
-				capStart := time.Now()
-				if _, err := incr.Capture(newSrc, cfg, fres, res); err != nil {
-					return fmt.Errorf("%s/%s: capture: %w", name, ed, err)
-				}
-				captures = append(captures, time.Since(capStart))
 			}
 			var stats *incr.Stats
 			var warmFacts int
@@ -107,7 +99,6 @@ func runIncr(ctx context.Context, names []string, abi string, repeat, editsN int
 					name, ed, warmFacts, coldFacts)
 			}
 			cold, warm, conv := medianDur(coldWalls), medianDur(warmWalls), medianDur(convs)
-			capture := medianDur(captures)
 			convRatio := float64(conv) / float64(cold)
 			wallRatio := float64(warm) / float64(cold)
 			if stats.Outcome == "resumed" {
@@ -118,10 +109,10 @@ func runIncr(ctx context.Context, names []string, abi string, repeat, editsN int
 			if stats.Outcome != "resumed" {
 				tag = " (fell back: " + stats.FallbackReason + ")"
 			}
-			fmt.Printf("%-12s %-12s %10v %10v %10v %10v %10v %6.0f%% %6.0f%% %8d %8d%s\n",
+			fmt.Printf("%-12s %-12s %10v %10v %10v %10v %6.0f%% %6.0f%% %8d %8d%s\n",
 				name, ed.String(), cold.Round(time.Microsecond), warm.Round(time.Microsecond),
 				decode.Round(time.Microsecond), conv.Round(time.Microsecond),
-				capture.Round(time.Microsecond), convRatio*100, wallRatio*100,
+				convRatio*100, wallRatio*100,
 				stats.FactsSeeded, stats.StmtsSkipped, tag)
 		}
 	}

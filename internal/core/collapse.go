@@ -37,6 +37,8 @@ func (s *CollapseAlways) Normalize(obj *ir.Object, _ ir.Path) Cell {
 // SetMemoization implements Memoizer.
 func (s *CollapseAlways) SetMemoization(on bool) { s.memo.SetMemoization(on) }
 
+func (s *CollapseAlways) resetMemo() { s.memo.reset() }
+
 // exactEdges implements exactEdger: edges carry exactly their source cell.
 func (s *CollapseAlways) exactEdges() bool { return true }
 

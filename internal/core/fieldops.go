@@ -29,6 +29,8 @@ func newFieldOps() fieldOps {
 // SetMemoization implements Memoizer for the field-based strategies.
 func (f *fieldOps) SetMemoization(on bool) { f.memo.SetMemoization(on) }
 
+func (f *fieldOps) resetMemo() { f.memo.reset() }
+
 // exactEdges implements exactEdger: both field strategies propagate through
 // exactEdgePropagate, so their Size==0 edges are indexable by source cell.
 func (f *fieldOps) exactEdges() bool { return true }

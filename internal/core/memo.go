@@ -66,6 +66,10 @@ func (m *memoTable) SetMemoization(on bool) {
 	}
 }
 
+// reset drops every cached entry and leaves the cache switch as it is; the
+// next store allocates fresh maps.
+func (m *memoTable) reset() { m.lookups, m.resolves = nil, nil }
+
 func (m *memoTable) getLookup(k lookupKey) (lookupVal, bool) {
 	if m.off {
 		return lookupVal{}, false
@@ -112,6 +116,18 @@ type Memoizer interface {
 func SetMemoization(s Strategy, on bool) {
 	if m, ok := s.(Memoizer); ok {
 		m.SetMemoization(on)
+	}
+}
+
+// memoResetter is implemented by every strategy that carries a memoTable.
+type memoResetter interface {
+	resetMemo()
+}
+
+// resetMemo empties the strategy's lookup/resolve caches when it has them.
+func resetMemo(s Strategy) {
+	if m, ok := s.(memoResetter); ok {
+		m.resetMemo()
 	}
 }
 

@@ -191,6 +191,8 @@ func (s *Offsets) Normalize(obj *ir.Object, path ir.Path) Cell {
 // SetMemoization implements Memoizer.
 func (s *Offsets) SetMemoization(on bool) { s.memo.SetMemoization(on) }
 
+func (s *Offsets) resetMemo() { s.memo.reset() }
+
 // Lookup implements Strategy (memoized; see memo.go).
 func (s *Offsets) Lookup(τ *types.Type, path ir.Path, target Cell) []Cell {
 	// No type test (results depend only on the declared type's layout);

@@ -425,6 +425,10 @@ func (s *solver) finish(start time.Time) *Result {
 		s.internFinal()
 	}
 	s.samplePeak()
+	// The Result keeps its strategy for Name, Normalize, ExpandedSize and
+	// the Recorder, never for another memoized Lookup or Resolve, so the
+	// caches would only pin dead entries for as long as the Result lives.
+	resetMemo(s.strat)
 	res := &Result{
 		Strategy:   s.strat,
 		Program:    s.prog,

@@ -1,7 +1,7 @@
-// Package incr is the incremental re-analysis subsystem: it keeps the
-// solved state of one analysis run as a persistent, resumable constraint
-// graph, diffs a re-submitted program against it at function granularity,
-// and re-solves only the slice the edit can reach.
+// Package incr is the incremental re-analysis subsystem: it keeps one
+// completed analysis run as a resumable constraint graph, diffs a
+// re-submitted program against it at function granularity, and re-solves
+// only the slice the edit can reach.
 //
 // The pipeline has three stages:
 //
@@ -9,12 +9,13 @@
 //     pseudo-unit for global initializers — is keyed by a canonical,
 //     position-independent encoding of its IR. Diff reduces an edit to the
 //     set of added/removed/changed units.
-//  2. Graph capture and snapshots (incr.go, snapshot.go): Capture folds a
-//     completed dense solve into per-cell fact lists in first-interned
-//     order; WriteSnapshot persists that state in the checked `ptrincr1`
-//     container (sha256 + length header, like the store's result spill) so
-//     it survives a daemon restart.
-//  3. Delta solve (match.go, taint.go, resume.go): Resume matches the old
+//  2. Graph capture and the warm state (incr.go, mirror.go): Capture keeps
+//     a completed solve as it is — the front-end result and the
+//     core.Result, nothing copied. The first Resume against a graph builds
+//     its warm state once: the unit fingerprints, per-cell fact lists in
+//     first-interned order, and the statement mirror (per-statement copy
+//     edges, counter contributions and the taint dependency index).
+//  3. Delta solve (match.go, mirror.go, resume.go): Resume matches the old
 //     program's objects onto the new one, retracts the constraints of
 //     changed/removed units by computing the taint closure of the cells
 //     they wrote, seeds a fresh solver with the surviving facts, and runs
@@ -117,76 +118,85 @@ func (c Config) strategy(lay *layout.Engine) (core.Strategy, error) {
 	return s, nil
 }
 
-// Graph is the persistent constraint-graph state of one completed solve:
-// the sources and parsed program it came from, the per-unit fingerprints,
-// and every cell's final points-to set in the order the solver first
-// interned the cells (which keeps resume seeding deterministic).
+// Graph is a completed solve held for resuming: the front-end result and
+// the core.Result it was captured from, plus the warm state Resume needs,
+// built once on the first Resume against the graph. Capture itself does no
+// work beyond its two checks, so registering every finished solve as a
+// future base costs two pointers.
 //
-// The union-find condensation is deliberately NOT serialized — the
-// materialized per-cell sets fold it in (merged members carry their
-// representative's full union), and cycle condensation is re-discovered
-// online. The solved graph's watcher/copy edges and per-statement rule
-// work ARE part of the persistent state, but in derived form: because the
-// solver's single-fire replay makes them a pure function of (program,
-// final sets, strategy), the statement mirror (mirror.go) reconstructs
-// them exactly from the fact lists on first use — per-statement counter
-// contributions, copy-edge lists and the taint dependency index — so the
-// ptrincr1 container stays small while Resume still skips the replay work
-// the captured solve already performed.
+// The warm state is derived from what the graph holds: the unit
+// fingerprints come from the captured IR, the per-cell fact lists from the
+// result's DenseState (merged members carry their representative's full
+// union, so the union-find condensation needs no copy of its own), and the
+// statement mirror (mirror.go) reconstructs the solved graph's watcher and
+// copy edges and its per-statement counter contributions from those
+// lists — the solver's single-fire replay makes them a pure function of
+// (program, final sets, strategy).
 type Graph struct {
-	cfg     Config
-	sources []frontend.Source
-	res     *frontend.Result
-	units   map[string]string
-	order   []core.Cell
-	facts   map[core.Cell][]core.Cell
+	cfg    Config
+	res    *frontend.Result
+	result *core.Result
 
-	artOnce sync.Once
-	art     *artifacts
-	artErr  error
+	warmOnce sync.Once
+	warm     *warmState
+	warmErr  error
 }
 
-// artifacts returns the graph's mirror artifacts, building them on first
-// use (one replay of the statements against the final sets, roughly the
-// cost of the original solve — paid once per resident graph, not per
-// Resume). Safe for concurrent use; the Graph must not be copied.
-func (g *Graph) artifacts() (*artifacts, error) {
-	g.artOnce.Do(func() {
+// warmState is everything Resume reads from a graph beyond the captured
+// program itself.
+type warmState struct {
+	units map[string]string // unit name → fingerprint
+	// order lists the cells holding facts in dense-ID (first-interned)
+	// order, which keeps resume seeding deterministic; facts maps each to
+	// its final set, in the same ID order.
+	order []core.Cell
+	facts map[core.Cell][]core.Cell
+	art   *artifacts
+}
+
+// warmed returns the graph's warm state, building it on first use: the
+// fingerprints, the fact lists and the mirror artifacts (one replay of the
+// statements against the final sets, roughly the cost of the original
+// solve). It is paid once per resident graph, not per Resume. Safe for
+// concurrent use; the Graph must not be copied.
+func (g *Graph) warmed() (*warmState, error) {
+	g.warmOnce.Do(func() {
 		// The mirror dirties its strategy's recorder and memo, so it gets
 		// a throwaway instance over the captured layout.
 		strat, err := g.cfg.strategy(layout.New(g.res.Layout.ABI()))
 		if err != nil {
-			g.artErr = err
+			g.warmErr = err
 			return
 		}
-		g.art = buildArtifacts(g.res.IR, strat, g.facts)
+		w := &warmState{units: fingerprints(g.res.IR), facts: make(map[core.Cell][]core.Cell)}
+		cells, redirect, sets := g.result.DenseState()
+		for i, c := range cells {
+			set := sets[i]
+			if redirect != nil {
+				set = sets[redirect[i]]
+			}
+			if len(set) == 0 {
+				continue
+			}
+			targets := make([]core.Cell, len(set))
+			for j, id := range set {
+				targets[j] = cells[id]
+			}
+			w.order = append(w.order, c)
+			w.facts[c] = targets
+		}
+		w.art = buildArtifacts(g.res.IR, strat, w.facts)
+		g.warm = w
 	})
-	return g.art, g.artErr
+	return g.warm, g.warmErr
 }
 
-// Config returns the configuration the graph was captured under.
-func (g *Graph) Config() Config { return g.cfg }
-
-// Sources returns the translation units the graph was captured from.
-func (g *Graph) Sources() []frontend.Source { return g.sources }
-
-// NumCells returns the number of cells holding facts.
-func (g *Graph) NumCells() int { return len(g.order) }
-
-// NumFacts returns the total number of persisted points-to facts.
-func (g *Graph) NumFacts() int {
-	n := 0
-	for _, ts := range g.facts {
-		n += len(ts)
-	}
-	return n
-}
-
-// Capture folds a completed solve into a resumable Graph. The result must
-// have reached fixpoint and must have been produced under cfg over exactly
-// these sources; violations are errors, not fallbacks, because a
-// miscaptured graph would poison every later Resume.
-func Capture(sources []frontend.Source, cfg Config, res *frontend.Result, result *core.Result) (*Graph, error) {
+// Capture registers a completed solve as a resumable Graph. The result
+// must have reached fixpoint and must have been produced under cfg over
+// res; violations are errors, not fallbacks, because a miscaptured graph
+// would poison every later Resume. The graph keeps res and result, which
+// must not change afterwards.
+func Capture(cfg Config, res *frontend.Result, result *core.Result) (*Graph, error) {
 	cfg = cfg.withDefaults()
 	if result.Incomplete != nil {
 		return nil, fmt.Errorf("incr: cannot capture an incomplete solve (%s)", result.Incomplete.Reason)
@@ -194,33 +204,7 @@ func Capture(sources []frontend.Source, cfg Config, res *frontend.Result, result
 	if name := result.Strategy.Name(); name != cfg.Strategy {
 		return nil, fmt.Errorf("incr: result solved under %q, config says %q", name, cfg.Strategy)
 	}
-	cells, redirect, sets := result.DenseState()
-	rep := func(id core.CellID) core.CellID {
-		for redirect != nil && redirect[id] != id {
-			id = redirect[id]
-		}
-		return id
-	}
-	g := &Graph{
-		cfg:     cfg,
-		sources: append([]frontend.Source(nil), sources...),
-		res:     res,
-		units:   fingerprints(res.IR),
-		facts:   make(map[core.Cell][]core.Cell),
-	}
-	for i := range cells {
-		set := sets[rep(core.CellID(i))]
-		if len(set) == 0 {
-			continue
-		}
-		targets := make([]core.Cell, len(set))
-		for j, id := range set {
-			targets[j] = cells[id]
-		}
-		g.order = append(g.order, cells[i])
-		g.facts[cells[i]] = targets
-	}
-	return g, nil
+	return &Graph{cfg: cfg, res: res, result: result}, nil
 }
 
 // Analyze is the subsystem's cold path: front end plus dense solve under
@@ -252,7 +236,7 @@ func Solve(ctx context.Context, sources []frontend.Source, cfg Config) (*Graph, 
 	if result.Incomplete != nil {
 		return nil, result, fmt.Errorf("incr: solve stopped early (%s)", result.Incomplete.Reason)
 	}
-	g, err := Capture(sources, cfg, res, result)
+	g, err := Capture(cfg, res, result)
 	if err != nil {
 		return nil, result, err
 	}

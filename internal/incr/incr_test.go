@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -122,6 +123,60 @@ func TestResumeMatchesColdSolve(t *testing.T) {
 	}
 	if resumed == 0 {
 		t.Fatal("no edit resumed warm: the delta path never engaged")
+	}
+}
+
+// TestConcurrentResume: several requests may resume the same resident
+// graph at once, and the first of them builds its warm state. Eight
+// goroutines resume one fresh Graph over the same edit, under every
+// strategy; every result must match the cold solve.
+func TestConcurrentResume(t *testing.T) {
+	ctx := context.Background()
+	src, err := corpus.Source("compiler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := corpus.Edits(src[0].Text, 7, 1)
+	if len(edits) == 0 {
+		t.Fatal("no viable edit of compiler")
+	}
+	newSrc := []frontend.Source{{Name: src[0].Name, Text: edits[0].Text}}
+	for _, sname := range metrics.StrategyNames {
+		cfg := incr.Config{Strategy: sname}
+		g, _, err := incr.Solve(ctx, src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, cold, err := incr.Analyze(ctx, newSrc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 8
+		warm := make([]*core.Result, n)
+		stats := make([]*incr.Stats, n)
+		errs := make([]error, n)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				_, warm[i], stats[i], errs[i] = incr.Resume(ctx, g, newSrc, cfg)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i := 0; i < n; i++ {
+			label := fmt.Sprintf("%s/resume %d", sname, i)
+			if errs[i] != nil {
+				t.Fatalf("%s: %v", label, errs[i])
+			}
+			if stats[i].Outcome != "resumed" {
+				t.Errorf("%s: fell back (%s)", label, stats[i].FallbackReason)
+			}
+			requireIdentical(t, label, warm[i], cold)
+		}
 	}
 }
 

@@ -53,7 +53,8 @@ type stmtArt struct {
 	edges   []core.Edge
 }
 
-// artifacts is the per-graph mirror state, built lazily once per Graph.
+// artifacts is the per-graph mirror state, part of the warm state a Graph
+// builds on its first Resume.
 type artifacts struct {
 	byStmt map[*ir.Stmt]*stmtArt
 	deps   map[core.Cell][]core.Cell // read → writes, all statements

@@ -43,15 +43,17 @@ type Stats struct {
 	EdgesRestored int
 
 	// Phase wall times: ParseTime covers the front end on the new sources
-	// (work a cold solve pays identically). DecodeTime covers the mirror
-	// artifact build — replaying the captured statements against the final
-	// sets to reconstruct copy edges, counters and the taint index. It is
-	// memoized per resident Graph, so only the first Resume against a graph
-	// pays it (a snapshot restored from disk always does); later resumes
-	// see ~zero. ConvergeTime covers the rest — fingerprint diff, object
-	// match, taint closure, seed construction and the delta solve — the
-	// per-edit marginal cost, and what `ptrbench -incr` compares against a
-	// cold solve. All three are zero on fallback paths.
+	// (work a cold solve pays identically). DecodeTime covers the graph's
+	// warm state — fingerprinting the captured units, listing its final
+	// sets, and replaying the captured statements against them to
+	// reconstruct copy edges, counters and the taint index. It is built
+	// once per resident Graph, so only the first Resume against a graph
+	// pays it; later resumes see ~zero. ConvergeTime covers the rest —
+	// fingerprint diff, object match, taint closure, seed construction and
+	// the delta solve — the per-edit marginal cost, and what `ptrbench
+	// -incr` compares against a cold solve. A config-mismatch fallback
+	// leaves all three zero; a match-conflict fallback keeps ParseTime and
+	// DecodeTime.
 	ParseTime    time.Duration
 	DecodeTime   time.Duration
 	ConvergeTime time.Duration
@@ -98,13 +100,19 @@ func Resume(ctx context.Context, g *Graph, newSources []frontend.Source, cfg Con
 		return nil, nil, nil, err
 	}
 	start := time.Now()
+	w, err := g.warmed()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	decode := time.Since(start)
 
-	d := diffUnits(g.units, fingerprints(newRes.IR))
+	d := diffUnits(w.units, fingerprints(newRes.IR))
 	stats := &Stats{
 		UnitsAdded:   len(d.Added),
 		UnitsRemoved: len(d.Removed),
 		UnitsChanged: len(d.Changed),
 		ParseTime:    start.Sub(parseStart),
+		DecodeTime:   decode,
 	}
 
 	m, err := buildMatch(g.res.IR, newRes.IR, d)
@@ -113,12 +121,6 @@ func Resume(ctx context.Context, g *Graph, newSources []frontend.Source, cfg Con
 		return fallbackLoaded(ctx, newRes, cfg, stats)
 	}
 
-	decodeStart := time.Now()
-	arts, err := g.artifacts()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	stats.DecodeTime = time.Since(decodeStart)
 	dirty := d.dirty()
 	retracted := func(st *ir.Stmt) bool { return dirty[unitOf(st)] }
 	for _, st := range g.res.IR.Stmts {
@@ -126,7 +128,7 @@ func Resume(ctx context.Context, g *Graph, newSources []frontend.Source, cfg Con
 			stats.StmtsRetracted++
 		}
 	}
-	tainted := arts.tainted(g.res.IR, retracted)
+	tainted := w.art.tainted(g.res.IR, retracted)
 	stats.CellsTainted = len(tainted)
 
 	// Seed construction. ineligible marks old cells whose final set cannot
@@ -134,19 +136,19 @@ func Resume(ctx context.Context, g *Graph, newSources []frontend.Source, cfg Con
 	// targets — which is exactly what disqualifies a statement touching
 	// them from replay elision below.
 	ineligible := tainted
-	seeds := make([]core.SeedFact, 0, len(g.order))
-	backing := make([]core.Cell, 0, g.NumFacts()) // one arena for every seed's targets
-	for _, c := range g.order {
+	seeds := make([]core.SeedFact, 0, len(w.order))
+	backing := make([]core.Cell, 0, g.result.TotalFacts()) // one arena for every seed's targets
+	for _, c := range w.order {
 		if tainted[c] {
 			continue
 		}
 		nc, ok := mapCell(m, c)
 		if !ok {
 			ineligible[c] = true
-			stats.FactsDropped += len(g.facts[c])
+			stats.FactsDropped += len(w.facts[c])
 			continue
 		}
-		old := g.facts[c]
+		old := w.facts[c]
 		from := len(backing)
 		for _, tc := range old {
 			nt, ok := mapCell(m, tc)
@@ -181,7 +183,7 @@ func Resume(ctx context.Context, g *Graph, newSources []frontend.Source, cfg Con
 	var skip map[*ir.Stmt]bool
 	var frozenEdges []core.Edge
 	var carry core.Recorder
-	if arts.exact {
+	if w.art.exact {
 		skip = make(map[*ir.Stmt]bool, len(m.stmts))
 		var mapped []core.Edge
 	stmts:
@@ -190,7 +192,7 @@ func Resume(ctx context.Context, g *Graph, newSources []frontend.Source, cfg Con
 			if !retained {
 				continue
 			}
-			a := arts.byStmt[oldSt]
+			a := w.art.byStmt[oldSt]
 			if a == nil {
 				continue
 			}

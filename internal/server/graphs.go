@@ -6,13 +6,15 @@ import (
 	"repro/pointsto"
 )
 
-// graphCache keeps persistent constraint graphs (pointsto.Graph) keyed by
+// graphCache keeps resumable constraint graphs (pointsto.Graph) keyed by
 // the same content hash the result cache uses, so a later /v1/analyze can
 // name one as its base and solve the edited program warm. Graphs are
 // registered after successful resumable solves and evicted count-based LRU:
-// a graph pins its front-end result and materialized fact lists, so the
-// bound is on residency, not bytes. Unlike sessions there is no creation
-// flight — graphs are only ever stored by a solve that already ran.
+// a graph pins its front-end result and solved core result, plus the warm
+// state (fingerprints, fact lists, statement mirror) its first resume
+// builds, so the bound is on residency, not bytes. Unlike sessions there
+// is no creation flight — graphs are only ever stored by a solve that
+// already ran.
 type graphCache struct {
 	mu      sync.Mutex
 	max     int

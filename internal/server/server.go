@@ -78,7 +78,7 @@ type Config struct {
 	// MaxSessions bounds the warm query sessions kept resident (LRU
 	// eviction beyond it); 0 selects 32.
 	MaxSessions int
-	// MaxGraphs bounds the persistent constraint graphs kept resident for
+	// MaxGraphs bounds the resumable constraint graphs kept resident for
 	// base-key incremental re-analysis (LRU eviction beyond it); 0 selects
 	// 64.
 	MaxGraphs int
@@ -464,10 +464,9 @@ func (s *Server) solveSnapshot(ctx context.Context, endpoint, key, base string, 
 			s.solveIncomplete.Add(1)
 		}
 		// Register the solved graph so later requests can name this key as
-		// their base. Capture is not free — it copies every fact into the
-		// graph's lists and fingerprints the IR, measured at 19% of a
-		// corpus_cold request and 609 ms at ≈24k statements — but it reuses
-		// the finished solve, and a failure only costs warmth.
+		// their base. Capture keeps pointers to the finished solve and costs
+		// O(1); the first request that resumes the graph pays for its warm
+		// state. A failure only costs warmth.
 		if rep.Incomplete() == nil && cfg.Resumable() {
 			if g, gerr := sess.Graph(sctx); gerr == nil {
 				s.graphs.put(key, g)

@@ -54,13 +54,14 @@
 // Edit-heavy traffic can resume instead of re-solving: Session.Update takes
 // the edited sources and returns a fresh solved Session, re-deriving only
 // the slice the edit can reach while seeding everything else from the old
-// fixpoint. Session.Graph captures the solved state as a persistent Graph
-// that serializes via WriteSnapshot (the checked ptrincr1 container) and
-// warm-starts ResumeSession after a restart:
+// fixpoint. Session.Graph captures the solved state as a Graph — the
+// completed solve itself, kept in memory at O(1) cost — that can
+// warm-start ResumeSession for any number of later edits; the first resume
+// against a Graph builds its warm state once:
 //
-//	sess2, info, err := sess.Update(editedSources)  // byte-identical, warm
-//	g, err := sess.Graph(ctx)                       // persistent form
-//	err = g.WriteSnapshot(f)                        // survives a restart
+//	sess2, info, err := sess.Update(editedSources) // byte-identical, warm
+//	g, err := sess.Graph(ctx)                      // resumable form
+//	sess3, info, err := pointsto.ResumeSession(ctx, g, otherEdit, cfg)
 //
 // Warm answers are byte-identical to cold ones — fact sets, TotalFacts and
 // the Figure-3 counters all match — and any edit the delta proof does not

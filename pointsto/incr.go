@@ -1,10 +1,11 @@
 package pointsto
 
 // Incremental re-analysis: this file adapts the internal/incr subsystem to
-// the facade's vocabulary. A solved Session can be captured as a Graph — a
-// persistent constraint graph that serializes through WriteSnapshot and
-// survives a restart — and a Graph can warm-start the analysis of an edited
-// program via ResumeSession or Session.Update. Warm answers are
+// the facade's vocabulary. A solved Session can be captured as a Graph — the
+// completed solve itself, held in memory with no copy — and a Graph can
+// warm-start the analysis of an edited program via ResumeSession or
+// Session.Update. The first resume against a Graph builds its warm state
+// (unit fingerprints, fact lists, statement mirror) once. Warm answers are
 // byte-identical to cold ones; when the delta path's preconditions fail it
 // falls back to a cold solve and says so in ResumeInfo, never returning a
 // different answer.
@@ -21,7 +22,6 @@ package pointsto
 import (
 	"context"
 	"errors"
-	"io"
 
 	"repro/internal/fault"
 	"repro/internal/frontend"
@@ -32,40 +32,11 @@ import (
 // resource Limits or FlagMisuse are set. Such configs always solve cold.
 var ErrNotResumable = errors.New("pointsto: config is not resumable (Limits or FlagMisuse set)")
 
-// Graph is a persistent constraint graph: the solved state of one complete
+// Graph is a resumable constraint graph: the solved state of one complete
 // analysis run, diffable against edited sources and resumable via
 // ResumeSession. Graphs are immutable and safe for concurrent use.
 type Graph struct {
 	g *incr.Graph
-}
-
-// NumCells returns the number of cells holding facts.
-func (g *Graph) NumCells() int { return g.g.NumCells() }
-
-// NumFacts returns the number of persisted points-to facts.
-func (g *Graph) NumFacts() int { return g.g.NumFacts() }
-
-// WriteSnapshot serializes the graph in the checked ptrincr1 container
-// (sha256 + length header), restoring through ReadGraphSnapshot.
-func (g *Graph) WriteSnapshot(w io.Writer) error { return g.g.WriteSnapshot(w) }
-
-// ReadGraphSnapshot restores a Graph written by WriteSnapshot. Corruption
-// in any form — truncation, bit flips, semantic inconsistencies — fails
-// with an error matching IsCorruptSnapshot; such files should be
-// quarantined, not retried.
-func ReadGraphSnapshot(r io.Reader) (*Graph, error) {
-	g, err := incr.ReadSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Graph{g: g}, nil
-}
-
-// IsCorruptSnapshot reports whether err marks a snapshot that failed
-// verification (as opposed to an I/O error).
-func IsCorruptSnapshot(err error) bool {
-	var ce *incr.CorruptError
-	return errors.As(err, &ce)
 }
 
 // ResumeInfo describes what one warm resume did; it mirrors incr.Stats.
@@ -146,9 +117,10 @@ func frontendSources(sources []Source) []frontend.Source {
 	return out
 }
 
-// Graph captures the session's solved state as a persistent constraint
+// Graph captures the session's solved state as a resumable constraint
 // graph, forcing (and memoizing) the exhaustive solve first if no complete
-// report exists yet. Fails with ErrNotResumable for configs the incremental
+// report exists yet. Once the report exists, capture keeps pointers to it
+// and costs O(1). Fails with ErrNotResumable for configs the incremental
 // path cannot serve.
 func (s *Session) Graph(ctx context.Context) (g *Graph, err error) {
 	defer fault.Recover("solve", &err)
@@ -160,7 +132,7 @@ func (s *Session) Graph(ctx context.Context) (g *Graph, err error) {
 	if err != nil {
 		return nil, err
 	}
-	ig, err := incr.Capture(frontendSources(s.sources), icfg, rep.res, rep.result)
+	ig, err := incr.Capture(icfg, rep.res, rep.result)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,14 @@
 package pointsto_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
+	"repro/internal/frontend"
 	"repro/pointsto"
 )
 
@@ -73,54 +74,43 @@ func TestSessionUpdateWarm(t *testing.T) {
 	}
 }
 
-// TestResumeSessionFromSnapshot: a graph round-tripped through its snapshot
-// resumes identically to the live one.
-func TestResumeSessionFromSnapshot(t *testing.T) {
+// TestGraphCaptureIsConstant: once a session holds its report, Graph keeps
+// pointers to the solve instead of copying it, so capture allocates the
+// same small constant for a large hub-and-chains program as for a corpus
+// program.
+func TestGraphCaptureIsConstant(t *testing.T) {
 	ctx := context.Background()
-	sess, err := pointsto.NewSession(incrSources(incrProgram), pointsto.Config{})
+	ks, err := corpus.Source("ks")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := sess.Graph(ctx)
-	if err != nil {
-		t.Fatal(err)
+	hub := corpus.GenerateLarge(corpus.LargeParams{NChains: 64, ChainLen: 12, NTargets: 128, NFields: 8, CrossEvery: 16, Seed: 3})
+	allocs := make(map[string]float64)
+	for name, srcs := range map[string][]frontend.Source{"ks": ks, "hub": hub} {
+		sources := make([]pointsto.Source, len(srcs))
+		for i, s := range srcs {
+			sources[i] = pointsto.Source{Name: s.Name, Text: s.Text}
+		}
+		sess, err := pointsto.NewSession(sources, pointsto.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.Report(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Graph(ctx); err != nil {
+			t.Fatal(err)
+		}
+		allocs[name] = testing.AllocsPerRun(20, func() {
+			if _, err := sess.Graph(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d facts, %v allocs per capture", name, rep.TotalFacts(), allocs[name])
 	}
-	var buf bytes.Buffer
-	if err := g.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := pointsto.ReadGraphSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.NumFacts() != g.NumFacts() || restored.NumCells() != g.NumCells() {
-		t.Fatalf("snapshot drifted: %d/%d facts, %d/%d cells",
-			restored.NumFacts(), g.NumFacts(), restored.NumCells(), g.NumCells())
-	}
-
-	edited := strings.Replace(incrProgram, "cursor = head.payload;", "cursor = &b;", 1)
-	fromLive, liveInfo, err := pointsto.ResumeSession(ctx, g, incrSources(edited), pointsto.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromDisk, diskInfo, err := pointsto.ResumeSession(ctx, restored, incrSources(edited), pointsto.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if liveInfo.Outcome != "resumed" || diskInfo.Outcome != "resumed" {
-		t.Fatalf("want both warm: live %+v disk %+v", liveInfo, diskInfo)
-	}
-	ls, _ := fromLive.Sets(ctx)
-	ds, _ := fromDisk.Sets(ctx)
-	if !reflect.DeepEqual(ls, ds) {
-		t.Errorf("live and snapshot resumes disagree:\nlive: %v\ndisk: %v", ls, ds)
-	}
-
-	// Corruption detection surfaces through the facade predicate.
-	raw := buf.Bytes()
-	raw[len(raw)/2] ^= 0x20
-	if _, err := pointsto.ReadGraphSnapshot(bytes.NewReader(raw)); !pointsto.IsCorruptSnapshot(err) {
-		t.Errorf("bit-flipped snapshot: want corrupt error, got %v", err)
+	if allocs["ks"] > 4 || allocs["hub"] != allocs["ks"] {
+		t.Errorf("capture allocates %v (ks) and %v (hub); want the same small constant", allocs["ks"], allocs["hub"])
 	}
 }
 

@@ -5,7 +5,7 @@
 #
 # Fails on: build errors, vet diagnostics, unformatted files, test failures
 # (including the separate perfbench module), or data races in the
-# AnalyzeBatch worker pool.
+# AnalyzeBatch worker pool or in concurrent resumes of one captured graph.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,8 +27,9 @@ fi
 echo "== go test"
 go test ./...
 
-echo "== go test -race (AnalyzeBatch worker pool must be race-clean)"
+echo "== go test -race (AnalyzeBatch worker pool and concurrent resumes must be race-clean)"
 go test -race ./internal/core/... ./internal/corpus/...
+go test -race -count=1 -run 'TestConcurrentResume$' ./internal/incr
 
 echo "== perfbench module (separate go.mod: the root build never compiles it)"
 (cd perfbench && go vet ./... && go test ./...)
@@ -61,7 +62,6 @@ go test -run='^$' -fuzz=FuzzLoad -fuzztime=10s ./internal/frontend
 go test -run='^$' -fuzz=FuzzSolve -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz=FuzzBitsIntern -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/export
-go test -run='^$' -fuzz=FuzzGraphSnapshotDecode -fuzztime=10s ./internal/incr
 
 if command -v curl >/dev/null 2>&1; then
 	echo "== chaos smoke (overload + fault injection + crash-safe restart)"
